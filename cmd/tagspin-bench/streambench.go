@@ -24,10 +24,8 @@ import (
 const streamTailIters = 40
 
 // streamSnapCap subsamples the benchmark scenario to at most this many
-// snapshots per tag. It matches the coarse term limit the streaming
-// accumulator can serve peaks from: above it the batch coarse pass switches
-// to a strided term subset a streaming fold cannot reproduce, so the
-// accumulator itself falls back to batch and there is nothing to measure.
+// snapshots per tag, the session shape every recorded BENCH file's stream
+// rows were measured on; keeping it keeps the rows comparable across files.
 const streamSnapCap = 64
 
 // streamItem is one replayable snapshot of the flattened session.
@@ -66,11 +64,12 @@ func flattenObs(obs core.Observations) []streamItem {
 	return items
 }
 
-// streamBenchRows measures what streaming accumulation buys: the
-// last-snapshot-to-answer latency. The batch rows time the full post-collect
-// pipeline (evaluator build + coarse grid scan + refinement + solve); the
-// stream rows pre-fold the same session through a core.Stream — work that
-// overlaps collection in production — and time only Finalize2D. Row pairs
+// streamBenchRows measures what streaming buys: the last-snapshot-to-answer
+// latency. The batch rows time the full post-collect pipeline (term prep +
+// evaluator build + coarse grid scan + refinement + solve); the stream rows
+// replay the same session through a core.Stream — whose accumulators log
+// each snapshot's term while collection runs — and time only Finalize2D,
+// which runs the same batch search on the logged terms. Row pairs
 // share a StreamLocate2D/<kind> prefix and the stream row carries
 // SpeedupVsBatch. The LoadLocate2DStream rows then run K concurrent
 // full streaming pipelines (replay + finalize) for throughput context.
@@ -91,11 +90,6 @@ func streamBenchRows() ([]benchResult, error) {
 	}{
 		{"Q", core.Config{Kind: spectrum.KindQ, FastSpectrum: true}},
 		{"Rlit", core.Config{LiteralReference: true, FastSpectrum: true}},
-		{"RlitTopK", core.Config{
-			LiteralReference: true,
-			FastSpectrum:     true,
-			Search:           spectrum.SearchOptions{PrescreenTopK: 8},
-		}},
 	}
 
 	var rows []benchResult
@@ -189,9 +183,9 @@ func runStreamOnce(locator *core.Locator, registered []core.SpinningTag, items [
 	for _, it := range items {
 		st.Report(it.epc, it.snap)
 	}
-	// A live session folds during network waits and ends with an empty
-	// queue; replaying faster than real time piles the whole fold into the
-	// finalize unless we drain first.
+	// A live session logs terms during network waits and ends with an
+	// empty queue; replaying faster than real time piles the ingestion into
+	// the finalize unless we drain first.
 	st.Quiesce()
 	t0 := time.Now()
 	res, err := st.Finalize2D(context.Background(), obs)
@@ -209,9 +203,8 @@ func runStreamOnce(locator *core.Locator, registered []core.SpinningTag, items [
 
 // streamLoadRows is the loadBenchRows shape on the streaming pipeline: K
 // goroutines each running complete replay+finalize cycles back to back.
-// Throughput is bounded by total work (the fold cost does not vanish, it
-// just moves off the tail), so these rows contextualize the tail rows rather
-// than promise a throughput win. Like loadBenchRows, each K yields one row
+// Throughput is bounded by total work, so these rows contextualize the tail
+// rows rather than promise a throughput win. Like loadBenchRows, each K yields one row
 // per solve backend — LoadLocate2DStream/K=<k> for the bearing-grid
 // estimator (name unchanged since schema 4) and LoadLocate2DStream/ml/K=<k>
 // for the joint maximum-likelihood backend (schema 8) — closing the

@@ -11,15 +11,16 @@ import (
 )
 
 // streamBuffer is the ingestion queue depth between the collecting
-// goroutine and the accumulation worker. Folding one snapshot into a 720
-// cell grid takes a few microseconds while reader reports arrive hundreds
-// of microseconds apart, so the queue's steady-state depth is ~0; the
-// buffer absorbs report bursts (one ROAccessReport can carry many tags)
-// without backpressuring the protocol loop.
+// goroutine and the ingestion worker. Logging one snapshot's term takes
+// well under a microsecond while reader reports arrive hundreds of
+// microseconds apart, so the queue's steady-state depth is ~0; the buffer
+// absorbs report bursts (one ROAccessReport can carry many tags) without
+// backpressuring the protocol loop.
 const streamBuffer = 256
 
 // streamItem is one queued snapshot, or (when sync is non-nil) a Quiesce
-// marker the worker closes once everything queued before it has been folded.
+// marker the worker closes once everything queued before it has been
+// ingested.
 type streamItem struct {
 	epc  tags.EPC
 	snap phase.Snapshot
@@ -32,8 +33,8 @@ type StreamStats struct {
 	Snapshots int64
 	// MaxBacklog is the ingestion queue's high-water mark.
 	MaxBacklog int64
-	// StreamedTags counts tag estimates served from streamed sums at
-	// finalize; FallbackTags counts tag estimates that fell back to the
+	// StreamedTags counts tag estimates served from a streamed accumulator
+	// at finalize; FallbackTags counts tag estimates that fell back to the
 	// batch path (disordered arrival, channel mismatch, or a bootstrap-kind
 	// mismatch between construction and finalize).
 	StreamedTags, FallbackTags int64
@@ -41,9 +42,9 @@ type StreamStats struct {
 
 // freqAcc accumulates one tag's snapshots on one carrier frequency. The
 // batch pipeline localizes each tag on its dominant channel only; streaming
-// cannot know the dominant channel until the session ends, so it folds
-// every channel into its own accumulator and finalizes from whichever one
-// matches the batch selection.
+// cannot know the dominant channel until the session ends, so it logs every
+// channel into its own accumulator and finalizes from whichever one matches
+// the batch selection.
 type freqAcc struct {
 	freq   float64
 	acc    *spectrum.Accumulator
@@ -67,20 +68,20 @@ func (ts *tagStream) find(freq float64) *freqAcc {
 	return nil
 }
 
-// Stream overlaps spectrum accumulation with tag collection: snapshots
-// reported mid-session are folded into per-tag, per-channel streaming
-// accumulators (spectrum.Accumulator) as they arrive, so the coarse grid
-// scan — the bulk of a locate's cost — is already done when the session
-// ends, and Finalize2D/Finalize3D only run the argmax, the refinement
-// rounds, and the bearing intersection.
+// Stream ingests a locate's snapshots while the tag collection is still
+// running: each report is validated and its spectrum term logged into a
+// per-tag, per-channel accumulator (spectrum.Accumulator) as it arrives.
+// Finalize2D/Finalize3D then run the batch peak search on each tag's logged
+// terms, plus the bearing solve and orientation passes; the coarse grid
+// scan runs after collection, as in the batch pipeline.
 //
 // The finalize result is bit-identical to the batch Locate2D/Locate3D on
-// the same observations: the accumulators reproduce the batch coarse scan
-// exactly for in-order arrivals, and any condition that would break that
-// equivalence — out-of-order or duplicate timestamps on a tag's dominant
-// channel, a snapshot the accumulator rejects, a bootstrap-kind mismatch —
-// quietly downgrades the affected tag (or the whole finalize) to the batch
-// path. Fallbacks are counted in Stats.
+// the same observations: for in-order arrivals the logged terms are the
+// batch terms, and any condition that would break that equivalence —
+// out-of-order or duplicate timestamps on a tag's dominant channel, a
+// snapshot the accumulator rejects, a bootstrap-kind mismatch — quietly
+// downgrades the affected tag (or the whole finalize) to the batch path.
+// Fallbacks are counted in Stats.
 //
 // Report is called from the collecting goroutine; everything else must run
 // on the owner's goroutine, after collection has returned. Reset discards
@@ -163,7 +164,7 @@ func (s *Stream) Reset() {
 }
 
 // Report ingests one snapshot; it is the client.ReportFunc for this
-// session. It only enqueues — accumulation happens on the Stream's worker —
+// session. It only enqueues — ingestion happens on the Stream's worker —
 // so the collection protocol loop is never blocked for more than a queue
 // slot. Must not be called after Finalize, Reset, or Close.
 func (s *Stream) Report(epc tags.EPC, snap phase.Snapshot) {
@@ -174,13 +175,14 @@ func (s *Stream) Report(epc tags.EPC, snap phase.Snapshot) {
 	s.ch <- streamItem{epc: epc, snap: snap}
 }
 
-// Backlog reports the snapshots currently queued but not yet folded.
+// Backlog reports the snapshots currently queued but not yet ingested.
 func (s *Stream) Backlog() int { return len(s.ch) }
 
-// Quiesce blocks until every snapshot reported so far has been folded. A
+// Quiesce blocks until every snapshot reported so far has been ingested. A
 // session that keeps up with its reader finishes collection with an empty
-// queue, so Finalize pays no fold cost; Quiesce reproduces that steady state
-// for benchmarks and tests that replay a session faster than real time.
+// queue, so Finalize pays no ingestion cost; Quiesce reproduces that steady
+// state for benchmarks and tests that replay a session faster than real
+// time.
 // Like Report, it must not be called after Finalize, Reset, or Close.
 func (s *Stream) Quiesce() {
 	done := make(chan struct{})
@@ -199,7 +201,7 @@ func (s *Stream) Stats() StreamStats {
 	}
 }
 
-// run is the accumulation worker: it drains the queue into the per-tag
+// run is the ingestion worker: it drains the queue into the per-tag
 // accumulators until the queue closes.
 func (s *Stream) run() {
 	defer close(s.done)
@@ -212,7 +214,7 @@ func (s *Stream) run() {
 	}
 }
 
-// ingest folds one snapshot. Unregistered tags and broken channels are
+// ingest logs one snapshot. Unregistered tags and broken channels are
 // ignored (the batch path drops or rejects them too); ordering violations
 // poison only the affected (tag, channel) accumulator.
 func (s *Stream) ingest(it streamItem) {
@@ -274,9 +276,9 @@ func (s *Stream) usableAcc(tag SpinningTag, selected []phase.Snapshot) *freqAcc 
 }
 
 // Finalize2D completes the streamed session against the full observations
-// the collection returned: batch-identical selection and validation, per-tag
-// peaks from the streamed sums (or batch fallback), then the shared solve
-// and orientation passes. The result is bit-identical to
+// the collection returned: batch-identical selection and validation,
+// per-tag peaks from the streamed accumulators (or batch fallback), then the
+// shared solve and orientation passes. The result is bit-identical to
 // Locate2DContext(ctx, registered, obs).
 func (s *Stream) Finalize2D(ctx context.Context, obs Observations) (Result2D, error) {
 	s.stop()

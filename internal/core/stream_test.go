@@ -11,6 +11,7 @@ import (
 	"github.com/tagspin/tagspin/internal/core"
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/phase"
+	"github.com/tagspin/tagspin/internal/sched"
 	"github.com/tagspin/tagspin/internal/tags"
 	"github.com/tagspin/tagspin/internal/testbed"
 )
@@ -344,5 +345,95 @@ func TestStreamErrorParity(t *testing.T) {
 	defer st2.Close()
 	if _, err := st2.Finalize2D(t.Context(), obs); !errors.Is(err, core.ErrTooFewTags) {
 		t.Errorf("err = %v, want ErrTooFewTags", err)
+	}
+}
+
+// TestStreamShippedSessionShape replays the session shape the server sees
+// by default — two tags on one fixed channel, ~300 snapshots each, far past
+// the 64-snapshot coarse subset — through a Stream. Ingestion must run no
+// compute-pool job (the accumulators only log terms), and the finalize must
+// equal the batch locate bit for bit with every tag streamed.
+func TestStreamShippedSessionShape(t *testing.T) {
+	old := sched.Workers()
+	sched.SetWorkers(4)
+	defer sched.SetWorkers(old)
+	for _, threeD := range []bool{false, true} {
+		name := "2d"
+		if threeD {
+			name = "3d"
+		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			diskZ, reader := 0.0, geom.V3(-1.8, 1.4, 0)
+			if threeD {
+				diskZ, reader = 0.095, geom.V3(-1.5, 1.6, 0.8)
+			}
+			sc := testbed.DefaultScenario(diskZ, rng)
+			sc.PlaceReader(reader)
+			registered, err := sc.CalibratedSpinningTags(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := sc.Collect(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for epc, snaps := range col.Obs {
+				if len(snaps) < 250 {
+					t.Fatalf("tag %v: %d snapshots, want the ~300 of a default session", epc, len(snaps))
+				}
+				for _, s := range snaps {
+					if s.FrequencyHz != snaps[0].FrequencyHz {
+						t.Fatalf("tag %v: session hops channels", epc)
+					}
+				}
+			}
+
+			loc := core.NewLocator(core.Config{})
+			var st *core.Stream
+			if threeD {
+				st = loc.NewStream3D(registered)
+			} else {
+				st = loc.NewStream2D(registered)
+			}
+			defer st.Close()
+			before := sched.PoolStats()
+			if _, err := replay(col.Obs)(st.Report); err != nil {
+				t.Fatal(err)
+			}
+			st.Quiesce()
+			if after := sched.PoolStats(); after.JobsRun != before.JobsRun {
+				t.Errorf("ingestion ran %d pool jobs, want 0", after.JobsRun-before.JobsRun)
+			}
+
+			var got, want any
+			if threeD {
+				w, err := loc.Locate3D(registered, col.Obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := st.Finalize3D(t.Context(), col.Obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want = g, w
+			} else {
+				w, err := loc.Locate2D(registered, col.Obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := st.Finalize2D(t.Context(), col.Obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want = g, w
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("streamed result differs from batch:\n got %+v\nwant %+v", got, want)
+			}
+			if stats := st.Stats(); stats.FallbackTags != 0 || stats.StreamedTags != int64(len(col.Obs)) {
+				t.Errorf("stats = %+v, want all %d tags streamed", stats, len(col.Obs))
+			}
+		})
 	}
 }

@@ -49,10 +49,10 @@ type Config struct {
 	FastSpectrum bool
 	// Search tunes the default locator's peak search (core.Config.Search):
 	// hierarchical scanning, the harmonic azimuth evaluator, the NUFFT
-	// synthesis route for non-uniform candidate grids, prescreen width, and
-	// grid steps. The zero value keeps the defaults (harmonic +
-	// hierarchical auto-on for Q spectra, NUFFT auto-on on the angle-grid
-	// entry points). Ignored when Locator is non-nil.
+	// synthesis route for non-uniform candidate grids, and grid steps. The
+	// zero value keeps the defaults (harmonic + hierarchical auto-on for Q
+	// spectra, NUFFT auto-on on the angle-grid entry points). Ignored when
+	// Locator is non-nil.
 	Search spectrum.SearchOptions
 	// Collect gathers snapshots; nil means client.CollectRetry (the
 	// network client with transient-failure retries). Supplying Collect
@@ -60,15 +60,10 @@ type Config struct {
 	// plain collector cannot feed mid-session accumulation.
 	Collect CollectFunc
 	// CollectStream gathers snapshots with per-report streaming, letting
-	// locates overlap spectrum accumulation with collection; nil means
-	// client.CollectRetryStream when Collect is also nil. See
-	// DisableStreaming for when the server streams.
+	// locates validate and log each snapshot's spectrum term while
+	// collection runs; nil means client.CollectRetryStream when Collect is
+	// also nil. Locates stream whenever a streaming collector is set.
 	CollectStream CollectStreamFunc
-	// DisableStreaming forces the batch pipeline even when a streaming
-	// collector is available. By default locates stream: snapshots are
-	// folded into per-tag accumulators as they arrive, so only the peak
-	// search and solve remain after collection ends.
-	DisableStreaming bool
 	// Client tunes collection sessions (including retry policy:
 	// MaxAttempts, BaseBackoff).
 	Client client.Config
@@ -170,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 	case cfg.Collect == nil:
 		s.collectStream = client.CollectRetryStream
 	}
-	s.streaming = s.collectStream != nil && !cfg.DisableStreaming
+	s.streaming = s.collectStream != nil
 	if cfg.MaxInFlight >= 0 {
 		slots := cfg.MaxInFlight
 		if slots == 0 {
@@ -296,19 +291,19 @@ type Stats struct {
 	// (disordered arrivals, channel mismatches, bootstrap-kind changes).
 	StreamLocates      uint64
 	StreamFallbackTags uint64
-	// SnapshotsStreamed totals snapshots folded into accumulators while
+	// SnapshotsStreamed totals snapshots logged into accumulators while
 	// their collection sessions were still running.
 	SnapshotsStreamed uint64
-	// MaxAccumBacklog is the accumulation queue's high-water mark across
-	// all streamed locates — how far folding ever lagged the wire.
+	// MaxAccumBacklog is the ingestion queue's high-water mark across all
+	// streamed locates — how far ingestion ever lagged the wire.
 	MaxAccumBacklog int64
 	// FinalizeCount and FinalizeNsTotal measure the streaming path's
 	// last-snapshot-to-answer latency: total time spent in Finalize
-	// (peak search + solve on pre-accumulated sums) over that many calls.
+	// (peak search + solve on the logged terms) over that many calls.
 	FinalizeCount   uint64
 	FinalizeNsTotal int64
 	// SpectrumSearch is the process-wide coarse-search routing tally —
-	// which accelerator (harmonic Q/R synthesis, hierarchical, prescreen,
+	// which accelerator (harmonic Q/R synthesis, hierarchical, NUFFT,
 	// all-cells profile synthesis) actually served the scans behind this
 	// server's locates, versus the dense fallback. A fleet dashboard that
 	// sees Dense2D climbing while HarmonicR2D stays flat is watching a
@@ -724,10 +719,11 @@ func (s *Server) locateOne(ctx context.Context, req LocateRequest, spinning []co
 	}
 }
 
-// locateStreaming is locateOne's streaming pipeline: the spectrum grid
-// accumulates while the reader session is still streaming reports, so after
-// collection only the peak search, refinement, and bearing solve remain.
-// Results are bit-identical to the batch pipeline on the same observations.
+// locateStreaming is locateOne's streaming pipeline: each report is
+// validated and its spectrum term logged while the reader session is still
+// streaming, and after collection the finalize runs the same peak search,
+// refinement, and bearing solve as the batch pipeline. Results are
+// bit-identical to the batch pipeline on the same observations.
 func (s *Server) locateStreaming(ctx context.Context, loc *core.Locator, addr string, ccfg client.Config, mode string, spinning []core.SpinningTag) (*LocateResponse, *statusError) {
 	var st *core.Stream
 	if mode == "3d" {
@@ -737,7 +733,7 @@ func (s *Server) locateStreaming(ctx context.Context, loc *core.Locator, addr st
 	}
 	defer st.Close()
 	// Each collection attempt resets the stream: a failed attempt has
-	// already folded a partial prefix that must not leak into the retry.
+	// already logged a partial prefix that must not leak into the retry.
 	obs, err := s.collectStream(ctx, addr, ccfg, func() client.ReportFunc {
 		st.Reset()
 		return st.Report

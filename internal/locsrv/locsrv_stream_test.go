@@ -3,7 +3,6 @@ package locsrv_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -204,35 +203,5 @@ func TestLocateStreamingTimeout(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/locate", locsrv.LocateRequest{ReaderAddr: "reader:5084"})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status = %d, want 504", resp.StatusCode)
-	}
-}
-
-// TestDisableStreaming checks the escape hatch: with DisableStreaming set,
-// the canned streaming collector is never consulted and the plain collector
-// serves the batch pipeline.
-func TestDisableStreaming(t *testing.T) {
-	reg, obs, _ := streamFixture(t)
-	srv, err := locsrv.New(locsrv.Config{
-		Registry:         reg,
-		DisableStreaming: true,
-		Collect: func(context.Context, string, client.Config) (core.Observations, error) {
-			return obs, nil
-		},
-		CollectStream: func(context.Context, string, client.Config, func() client.ReportFunc) (core.Observations, error) {
-			return nil, errors.New("streaming collector used despite DisableStreaming")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp := postJSON(t, ts.URL+"/v1/locate", locsrv.LocateRequest{ReaderAddr: "reader:5084"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if st := srv.Stats(); st.StreamLocates != 0 {
-		t.Errorf("StreamLocates = %d, want 0", st.StreamLocates)
 	}
 }

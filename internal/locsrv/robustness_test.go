@@ -218,3 +218,39 @@ func TestClientDisconnectCancelsCollect(t *testing.T) {
 	}
 	<-errc // the aborted request errors; only the cancellation mattered
 }
+
+// TestAddTagRejectsAbsurdGeometry pins registration-time validation of disk
+// geometry: a radius far beyond any real disk, or a non-finite one, must be
+// refused with 400 and never reach the registry, where the next locate
+// would size spectrum buffers from it.
+func TestAddTagRejectsAbsurdGeometry(t *testing.T) {
+	reg := registry.New()
+	srv, err := locsrv.New(locsrv.Config{
+		Registry: reg,
+		Collect: func(context.Context, string, client.Config) (core.Observations, error) {
+			return nil, errors.New("unused")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for name, body := range map[string]string{
+		"radius 1e15":  `{"epc":"00000000000000000000abcd","centerM":[0,0,0],"radiusM":1e15,"omegaRadPerSec":3.14}`,
+		"radius NaN":   `{"epc":"00000000000000000000abcd","centerM":[0,0,0],"radiusM":NaN,"omegaRadPerSec":3.14}`,
+		"radius 1e400": `{"epc":"00000000000000000000abcd","centerM":[0,0,0],"radiusM":1e400,"omegaRadPerSec":3.14}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/tags", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := len(reg.List()); n != 0 {
+		t.Errorf("registry holds %d entries, want 0", n)
+	}
+}

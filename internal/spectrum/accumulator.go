@@ -1,122 +1,66 @@
 package spectrum
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"github.com/tagspin/tagspin/internal/mathx"
 	"github.com/tagspin/tagspin/internal/phase"
-	"github.com/tagspin/tagspin/internal/sched"
 )
 
-// Accumulator folds snapshots into per-cell running sums over a coarse
-// candidate grid — uniform by default, arbitrary via NewAccumulator2DAngles
-// — the moment they arrive, so that by the time a spin session ends the
-// coarse profile is already computed and only the argmax plus the local
-// refinement rounds remain. Both profile kinds are additive in the
-// snapshot index: Q(φ) sums one phasor per snapshot, and R(φ)'s
-// Gaussian-likelihood weights are per-snapshot too (Definitions 4.1/5.1).
-// Concretely, Add streams:
+// Accumulator collects one spin session's snapshot terms as they arrive and
+// finalizes through the batch peak search. Add validates a snapshot and
+// appends its term (the first snapshot becomes the session's phase
+// reference, exactly like prepare); it does no grid work. FindPeak2D,
+// FindPeak3D and the coarse profiles build the batch Evaluator over the
+// logged terms and run FindPeak2DEval, FindPeak2DAnglesEval, FindPeak3DEval,
+// Profile2D or Profile3D on it, so a streamed answer equals the batch answer
+// on the same snapshots by construction.
 //
-//   - KindQ: the phasor sums Σ e^{j(θ_k+aperture_k(cell))} per cell.
-//   - KindR with LiteralReference: the weighted sums Σ w_k·e^{j(…)} — the
-//     weight needs only the snapshot's own residual, so the whole profile
-//     streams and Finalize is O(cells).
-//   - KindR robust (default): the residual circular sums Σ sin/cos(res_k)
-//     per cell. The robust weight subtracts the circular mean μ(cell) of
-//     *all* residuals, which only exists at the end of the session, so
-//     Finalize runs the weighting pass — still saving the streamed first
-//     pass, and reduced to a top-K rescore when SearchOptions.PrescreenTopK
-//     is set (the Q sums are then tracked during Add as well).
+// Why no per-cell fold: the profiles are sums over snapshots, but the batch
+// coarse scan scores only a strided subset of at most coarseTermLimit
+// snapshots, and the stride depends on the final count. A running per-cell
+// sum therefore matches the batch scan only for sessions of at most 64
+// snapshots, while a default session carries ~300 per tag. The sub-linear
+// routes (harmonic, hierarchical, NUFFT) make the finalize's coarse scan
+// cheap enough that folding during collection buys nothing.
 //
-// The exact-trig path is bit-identical to the batch Evaluator's per-cell
-// arithmetic: terms come from the same makeTerm, cells use the same
-// float64(i)*step angles and plan-cached trig tables, and each cell's sum
-// accumulates in snapshot order with the same expression shapes as
-// evalQExact/evalRExact. Equivalence tests pin CoarseProfile against
-// Profile2D/Profile3D bit for bit.
-//
-// An Accumulator is NOT safe for concurrent use: Add, Finalize-side calls,
-// and CoarseProfile must run on one goroutine at a time (core.Stream gives
-// it a single ingestion worker). Wide grids chunk each Add through the
-// shared compute pool internally; chunks write disjoint cell ranges.
+// An Accumulator is NOT safe for concurrent use: Add and the finalize-side
+// calls must run on one goroutine at a time (core.Stream gives it a single
+// ingestion worker).
 type Accumulator struct {
 	params   Params
 	kind     Kind
 	opts     SearchOptions
 	evalOpts []EvalOption
-	fastTrig bool
-	trackQ   bool // accumulate Q sums alongside robust-R pass-1 (prescreen)
-	harmonic bool // fold harmonic coefficients instead of per-cell Q sums
-
-	// Hoisted R-weight constants, mirroring Evaluator.
-	weightSigma float64
-	wNorm       float64
-	wInv2Sig    float64
-
-	// Grid geometry. 2D grids have nPol == 1 with polStep 0 and cosG[0] ==
-	// cos(0); 3D grids are row-major (cell k = polar row k/nAz, azimuth
-	// k%nAz), exactly like the batch coarse argmax.
-	threeD           bool
-	step             float64 // azimuth spacing (mean spacing in angles mode)
-	polBase, polStep float64
-	nAz, nPol, n     int
+	threeD   bool
 	// angles, when non-nil, is the arbitrary 2D candidate grid of
-	// NewAccumulator2DAngles: cell k is angles[k] instead of k·step, the
-	// trig tables below are built per angle (no plan-cache key exists), and
-	// the finalize replays the batch angle-grid selection
-	// (coarseArgmax2DAngles / FindPeak2DAnglesEval).
+	// NewAccumulator2DAngles; the finalize runs FindPeak2DAnglesEval on it.
 	angles []float64
-
-	sinPhi, cosPhi []float64 // uniform azimuth trig table (plan cache)
-	cosG           []float64 // cos γ per polar row
-
-	// Per-cell running sums (allocated per mode).
-	qRe, qIm       []float64 // Q phasor sums
-	wRe, wIm       []float64 // literal-R weighted phasor sums
-	resSin, resCos []float64 // robust-R residual circular sums
-	refAper        []float64 // reference aperture per cell (KindR)
-
-	// Harmonic-mode state (HarmonicEval == ToggleOn, 2D, both kinds —
-	// KindR only without PrescreenTopK): the O(harmonics) coefficient fold
-	// replaces the O(cells) per-cell fold.
-	hcoeffs harmonicCoeffs
-	hbess   []float64
 
 	terms   []snapshotTerm
 	ref     phase.Snapshot
 	haveRef bool
-	pending snapshotTerm // the term the in-flight chunked fold reads
-	ev      *Evaluator   // lazily built at finalize, invalidated by Add
+	ev      *Evaluator // lazily built at finalize, invalidated by Add
 }
 
-// NewAccumulator2D builds a streaming accumulator over the 2D coarse grid
-// the batch peak search would scan for the same SearchOptions. opts also
-// carries PrescreenTopK for the robust-R finalize. evalOpts accepts the
-// same options as NewEvaluator (WithFastTrig) and is forwarded to the
-// finalize Evaluator.
+// NewAccumulator2D builds a streaming accumulator whose finalize runs the
+// 2D batch peak search with opts. evalOpts accepts the same options as
+// NewEvaluator (WithFastTrig) and is forwarded to the finalize Evaluator.
 func NewAccumulator2D(p Params, kind Kind, opts SearchOptions, evalOpts ...EvalOption) (*Accumulator, error) {
 	return newAccumulator(p, kind, opts, false, nil, evalOpts)
 }
 
 // NewAccumulator2DAngles is NewAccumulator2D over an arbitrary (typically
-// non-uniform) 2D candidate grid: cell k accumulates at angles[k]. The
-// uniform-grid restriction of the streaming finalize is lifted the same way
-// the batch side lifts it — exact-path per-cell sums stay bit-identical to
-// the batch dense scan over the same angles (the trig table is built per
-// angle with the same kernel fillAngleTrig uses), and the finalize replays
-// the batch angle-grid selection so FindPeak2D returns
-// FindPeak2DAnglesEval's bits. The grid must be non-empty.
+// non-uniform) 2D candidate grid: FindPeak2D returns FindPeak2DAnglesEval's
+// bits and CoarseProfile scans the given angles. The grid must be non-empty.
 func NewAccumulator2DAngles(p Params, kind Kind, angles []float64, opts SearchOptions, evalOpts ...EvalOption) (*Accumulator, error) {
 	if len(angles) == 0 {
 		return nil, fmt.Errorf("spectrum: angle-grid accumulator needs a non-empty grid")
 	}
-	return newAccumulator(p, kind, opts, false, angles, evalOpts)
+	return newAccumulator(p, kind, opts, false, append([]float64(nil), angles...), evalOpts)
 }
 
-// NewAccumulator3D is NewAccumulator2D over the az × polar coarse grid of
-// the batch 3D peak search.
+// NewAccumulator3D is NewAccumulator2D for the az × polar batch search.
 func NewAccumulator3D(p Params, kind Kind, opts SearchOptions, evalOpts ...EvalOption) (*Accumulator, error) {
 	return newAccumulator(p, kind, opts, true, nil, evalOpts)
 }
@@ -125,129 +69,24 @@ func newAccumulator(p Params, kind Kind, opts SearchOptions, threeD bool, angles
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Accumulator{
-		params:      p,
-		kind:        kind,
-		opts:        opts,
-		evalOpts:    evalOpts,
-		weightSigma: p.weightSigma(),
-		threeD:      threeD,
-	}
-	a.wNorm = 1 / (a.weightSigma * math.Sqrt(mathx.TwoPi))
-	a.wInv2Sig = 1 / (2 * a.weightSigma * a.weightSigma)
-	// Probe the EvalOptions through a throwaway Evaluator: the option type
-	// is shared with NewEvaluator so callers configure both engines with
-	// one vocabulary.
-	var probe Evaluator
-	for _, opt := range evalOpts {
-		opt(&probe)
-	}
-	a.fastTrig = probe.fastTrig
-
-	switch {
-	case threeD:
-		a.step = opts.coarseStep() * 4 // matches FindPeak3DEval
-		a.polStep = opts.coarsePolarStep()
-		a.polBase = -math.Pi / 2
-		a.nAz = gridSteps(2*math.Pi, a.step)
-		a.nPol = int(math.Floor(math.Pi/a.polStep+1e-9)) + 1
-	case angles != nil:
-		a.angles = append([]float64(nil), angles...)
-		a.nAz = len(angles)
-		a.nPol = 1
-		// Refinement step only: FindPeak2DAnglesEval refines the winner at
-		// the grid's mean spacing, and the streamed finalize must match it.
-		a.step = 2 * math.Pi / float64(a.nAz)
-	default:
-		a.step = opts.coarseStep()
-		a.nAz = gridSteps(2*math.Pi, a.step)
-		a.nPol = 1
-	}
-	a.n = a.nAz * a.nPol
-
-	a.sinPhi = make([]float64, a.nAz)
-	a.cosPhi = make([]float64, a.nAz)
-	switch {
-	case a.angles != nil:
-		// No uniform-step plan key exists for an arbitrary grid (counted
-		// like fillAngleTrig's bypass); the per-angle build uses the same
-		// kernel per trig mode as fillAngleTrig, so the streamed folds see
-		// exactly the table bits the batch dense scan would.
-		if a.nAz >= planMinN {
-			planCache.nonUniformMiss.Add(1)
-		}
-		if a.fastTrig {
-			for k, phi := range a.angles {
-				a.sinPhi[k], a.cosPhi[k] = mathx.FastSincos(phi)
-			}
-		} else {
-			for k, phi := range a.angles {
-				a.sinPhi[k], a.cosPhi[k] = math.Sincos(phi)
-			}
-		}
-	case a.nAz >= planMinN:
-		planCache.fill(a.sinPhi, a.cosPhi, planKey{i0: 0, n: a.nAz, step: a.step, fast: a.fastTrig})
-	default:
-		buildUniformTrig(a.sinPhi, a.cosPhi, 0, a.step, a.fastTrig)
-	}
-	a.cosG = make([]float64, a.nPol)
-	for r := range a.cosG {
-		// Same expression chain as the batch row scan: γ = polBase +
-		// row·polStep (0 in 2D), then cos γ.
-		a.cosG[r] = math.Cos(a.polBase + float64(r)*a.polStep)
-	}
-
-	// Harmonic streaming is explicit opt-in (ToggleOn, not auto): the
-	// default per-cell fold keeps CoarseProfile bit-identical to the batch
-	// Profile2D, which the equivalence suite pins. With the harmonic fold,
-	// Add costs O(harmonics) instead of O(cells) and CoarseProfile is
-	// synthesized from the coefficients (within harmonicSlack of batch for
-	// Q, rSlack for R — the two-pass kernel in allcells.go); the finalize
-	// argmax still rescores exactly, so FindPeak2D returns the batch
-	// search's bits either way. Both kinds stream the same Q-phasor
-	// coefficients; a KindR finalize re-derives μ and the weights from
-	// them. A KindR session with PrescreenTopK set keeps the per-cell fold:
-	// its finalize must replay the streamed-Q prescreen selection, exactly
-	// like the batch route.
-	a.harmonic = !threeD && opts.HarmonicEval == ToggleOn &&
-		(kind != KindR || opts.PrescreenTopK <= 0)
-	a.trackQ = (kind != KindR || opts.PrescreenTopK > 0) && !a.harmonic
-	if a.trackQ {
-		a.qRe = make([]float64, a.n)
-		a.qIm = make([]float64, a.n)
-	}
-	if kind == KindR && !a.harmonic {
-		a.refAper = make([]float64, a.n)
-		if p.LiteralReference {
-			a.wRe = make([]float64, a.n)
-			a.wIm = make([]float64, a.n)
-		} else {
-			a.resSin = make([]float64, a.n)
-			a.resCos = make([]float64, a.n)
-		}
-	}
-	return a, nil
+	return &Accumulator{
+		params:   p,
+		kind:     kind,
+		opts:     opts,
+		evalOpts: evalOpts,
+		threeD:   threeD,
+		angles:   angles,
+	}, nil
 }
 
-// Snapshots returns how many snapshots have been folded in.
+// Snapshots returns how many snapshots have been added.
 func (a *Accumulator) Snapshots() int { return len(a.terms) }
 
-// accAddChunk adapts the in-flight Add fold to sched.Chunked without an
-// allocation per Add.
-type accAddChunk Accumulator
-
-// RunChunk implements sched.Chunked for a chunked Add fold.
-func (c *accAddChunk) RunChunk(lo, hi int) { (*Accumulator)(c).foldRange(lo, hi) }
-
-// addChunkMin is the grid width below which Add folds inline: narrow grids
-// finish faster than a pool round-trip.
-const addChunkMin = 4 * chunkTarget
-
-// Add folds one snapshot into the per-cell sums. The first snapshot becomes
-// the session's phase reference, exactly like prepare. Snapshots must
-// arrive in the order the batch path would sort them (ascending time) for
-// the exact path to stay bit-identical to batch — the caller owns that
-// guarantee (core.Stream checks it and falls back to batch otherwise).
+// Add appends one snapshot's term. The first snapshot becomes the session's
+// phase reference, exactly like prepare. Snapshots must arrive in the order
+// the batch path would sort them (ascending time) for the finalize to match
+// batch bit for bit — the caller owns that guarantee (core.Stream checks it
+// and falls back to batch otherwise).
 func (a *Accumulator) Add(s phase.Snapshot) error {
 	if !a.haveRef {
 		a.ref = s
@@ -258,302 +97,12 @@ func (a *Accumulator) Add(s phase.Snapshot) error {
 		return fmt.Errorf("spectrum: snapshot %d %w", len(a.terms), err)
 	}
 	a.ev = nil
-	a.pending = t
-	if len(a.terms) == 0 && a.refAper != nil {
-		// Capture the reference aperture per cell once: it is a pure
-		// function of the first term and the cell, recomputed identically
-		// by evalRExact/evalRFast on every batch call.
-		for k := 0; k < a.n; k++ {
-			az, cg := a.cell(k)
-			a.refAper[k] = t.scale * (t.cosA*a.cosPhi[az] + t.sinA*a.sinPhi[az]) * cg
-		}
-	}
 	a.terms = append(a.terms, t)
-	if a.harmonic {
-		a.foldHarmonic(t)
-		return nil
-	}
-	if a.n >= addChunkMin && sched.Workers() > 1 {
-		// Chunks write disjoint cell ranges; order never enters the
-		// arithmetic (each cell's sum gets exactly one contribution per
-		// Add), so pooled and inline folds are bit-identical.
-		_ = sched.Run(context.Background(), (*accAddChunk)(a), a.n, chunkTarget)
-	} else {
-		a.foldRange(0, a.n)
-	}
 	return nil
 }
 
-// foldHarmonic folds one term into the harmonic coefficients — O(harmonics)
-// instead of O(cells). The fold mirrors foldTermsHarmonic at γ = 0 term for
-// term (w = scale·cos 0 = scale, same bits), so after n ≤ coarseTermLimit
-// Adds the coefficients are bit-identical to the batch fold over ev.coarse.
-func (a *Accumulator) foldHarmonic(t snapshotTerm) {
-	w := t.scale
-	need := harmonicsNeeded(w)
-	a.hcoeffs.ensure(need)
-	if cap(a.hbess) < need+1 {
-		a.hbess = make([]float64, need+1)
-	}
-	bess := a.hbess[:need+1]
-	besselJArray(w, bess)
-	a.hcoeffs.foldTerm(t.relPhase, t.cosA, t.sinA, bess)
-}
-
-// cell resolves a cell index to its azimuth-table index and cos γ.
-func (a *Accumulator) cell(k int) (az int, cg float64) {
-	if a.nPol == 1 {
-		return k, a.cosG[0]
-	}
-	return k % a.nAz, a.cosG[k/a.nAz]
-}
-
-// foldRange folds the pending term into cells [lo, hi). Each branch mirrors
-// the expression shapes of its batch counterpart (evalQExact/evalQFast,
-// evalRExact/evalRFast) so exact-path sums match bit for bit.
-func (a *Accumulator) foldRange(lo, hi int) {
-	t := a.pending
-	switch {
-	case a.kind != KindR:
-		a.foldQ(t, lo, hi)
-	case a.params.LiteralReference:
-		a.foldRLiteral(t, lo, hi)
-	default:
-		a.foldRRobust(t, lo, hi)
-	}
-}
-
-func (a *Accumulator) foldQ(t snapshotTerm, lo, hi int) {
-	if a.nPol == 1 {
-		a.foldQ2D(t, lo, hi)
-		return
-	}
-	if a.fastTrig {
-		for k := lo; k < hi; k++ {
-			az, cg := a.cell(k)
-			aperture := t.scale * (t.cosA*a.cosPhi[az] + t.sinA*a.sinPhi[az]) * cg
-			s, c := mathx.FastSincos(t.relPhase + aperture)
-			a.qRe[k] += c
-			a.qIm[k] += s
-		}
-		return
-	}
-	for k := lo; k < hi; k++ {
-		az, cg := a.cell(k)
-		aperture := t.scale * (t.cosA*a.cosPhi[az] + t.sinA*a.sinPhi[az]) * cg
-		s, c := math.Sincos(t.relPhase + aperture)
-		a.qRe[k] += c
-		a.qIm[k] += s
-	}
-}
-
-// foldQ2D is the single-polar-row specialization of foldQ: the cell →
-// (azimuth, cos γ) mapping collapses to the identity, so the per-cell
-// branch, division and modulo hoist out of the loop, and reslicing every
-// table to the [lo,hi) window retires the bounds checks. The folded
-// expression is byte-for-byte the generic one — exact-path sums keep their
-// batch bits.
-func (a *Accumulator) foldQ2D(t snapshotTerm, lo, hi int) {
-	cg := a.cosG[0]
-	cosPhi := a.cosPhi[lo:hi]
-	sinPhi := a.sinPhi[lo:hi]
-	qRe := a.qRe[lo:hi]
-	qIm := a.qIm[lo:hi]
-	if a.fastTrig {
-		for i := range cosPhi {
-			aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
-			s, c := mathx.FastSincos(t.relPhase + aperture)
-			qRe[i] += c
-			qIm[i] += s
-		}
-		return
-	}
-	for i := range cosPhi {
-		aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
-		s, c := math.Sincos(t.relPhase + aperture)
-		qRe[i] += c
-		qIm[i] += s
-	}
-}
-
-// foldRLiteral streams the literal-reference R sums completely: with μ ≡ 0
-// the weight depends only on the snapshot's own residual, and res−μ is
-// bitwise res (x−0.0 == x for every float64), so the streamed weight equals
-// the batch weighting-pass weight.
-func (a *Accumulator) foldRLiteral(t snapshotTerm, lo, hi int) {
-	if a.nPol == 1 {
-		a.foldRLiteral2D(t, lo, hi)
-		return
-	}
-	if a.fastTrig {
-		for k := lo; k < hi; k++ {
-			az, cg := a.cell(k)
-			aperture := t.scale * (t.cosA*a.cosPhi[az] + t.sinA*a.sinPhi[az]) * cg
-			res := wrapToPiFast(t.relPhase - (a.refAper[k] - aperture))
-			d := wrapToPiFast(res)
-			w := a.wNorm * math.Exp(-d*d*a.wInv2Sig)
-			s, c := mathx.FastSincos(t.relPhase + aperture)
-			a.wRe[k] += w * c
-			a.wIm[k] += w * s
-			if a.trackQ {
-				a.qRe[k] += c
-				a.qIm[k] += s
-			}
-		}
-		return
-	}
-	for k := lo; k < hi; k++ {
-		az, cg := a.cell(k)
-		aperture := t.scale * (t.cosA*a.cosPhi[az] + t.sinA*a.sinPhi[az]) * cg
-		ci := a.refAper[k] - aperture
-		res := mathx.WrapToPi(t.relPhase - ci)
-		w := mathx.GaussPDF(mathx.WrapToPi(res), 0, a.weightSigma)
-		s, c := math.Sincos(t.relPhase + aperture)
-		a.wRe[k] += w * c
-		a.wIm[k] += w * s
-		if a.trackQ {
-			a.qRe[k] += c
-			a.qIm[k] += s
-		}
-	}
-}
-
-// foldRLiteral2D is the single-polar-row specialization of foldRLiteral;
-// see foldQ2D for the restructuring rules. The trackQ branch stays inside
-// the loop — it is loop-invariant and predicted perfectly — because
-// splitting it would double the variants for no measured win.
-func (a *Accumulator) foldRLiteral2D(t snapshotTerm, lo, hi int) {
-	cg := a.cosG[0]
-	cosPhi := a.cosPhi[lo:hi]
-	sinPhi := a.sinPhi[lo:hi]
-	refAper := a.refAper[lo:hi]
-	wRe := a.wRe[lo:hi]
-	wIm := a.wIm[lo:hi]
-	trackQ := a.trackQ
-	var qRe, qIm []float64
-	if trackQ {
-		qRe = a.qRe[lo:hi]
-		qIm = a.qIm[lo:hi]
-	}
-	if a.fastTrig {
-		for i := range cosPhi {
-			aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
-			res := wrapToPiFast(t.relPhase - (refAper[i] - aperture))
-			d := wrapToPiFast(res)
-			w := a.wNorm * math.Exp(-d*d*a.wInv2Sig)
-			s, c := mathx.FastSincos(t.relPhase + aperture)
-			wRe[i] += w * c
-			wIm[i] += w * s
-			if trackQ {
-				qRe[i] += c
-				qIm[i] += s
-			}
-		}
-		return
-	}
-	for i := range cosPhi {
-		aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
-		ci := refAper[i] - aperture
-		res := mathx.WrapToPi(t.relPhase - ci)
-		w := mathx.GaussPDF(mathx.WrapToPi(res), 0, a.weightSigma)
-		s, c := math.Sincos(t.relPhase + aperture)
-		wRe[i] += w * c
-		wIm[i] += w * s
-		if trackQ {
-			qRe[i] += c
-			qIm[i] += s
-		}
-	}
-}
-
-// foldRRobust streams the robust-R first pass — the residual circular sums
-// the per-cell mean μ is taken over — plus the Q sums when the finalize
-// will prescreen.
-func (a *Accumulator) foldRRobust(t snapshotTerm, lo, hi int) {
-	if a.nPol == 1 {
-		a.foldRRobust2D(t, lo, hi)
-		return
-	}
-	if a.fastTrig {
-		for k := lo; k < hi; k++ {
-			az, cg := a.cell(k)
-			aperture := t.scale * (t.cosA*a.cosPhi[az] + t.sinA*a.sinPhi[az]) * cg
-			res := wrapToPiFast(t.relPhase - (a.refAper[k] - aperture))
-			s, c := mathx.FastSincos(res)
-			a.resSin[k] += s
-			a.resCos[k] += c
-			if a.trackQ {
-				sq, cq := mathx.FastSincos(t.relPhase + aperture)
-				a.qRe[k] += cq
-				a.qIm[k] += sq
-			}
-		}
-		return
-	}
-	for k := lo; k < hi; k++ {
-		az, cg := a.cell(k)
-		aperture := t.scale * (t.cosA*a.cosPhi[az] + t.sinA*a.sinPhi[az]) * cg
-		ci := a.refAper[k] - aperture
-		res := mathx.WrapToPi(t.relPhase - ci)
-		s, c := math.Sincos(res)
-		a.resSin[k] += s
-		a.resCos[k] += c
-		if a.trackQ {
-			sq, cq := math.Sincos(t.relPhase + aperture)
-			a.qRe[k] += cq
-			a.qIm[k] += sq
-		}
-	}
-}
-
-// foldRRobust2D is the single-polar-row specialization of foldRRobust; see
-// foldQ2D for the restructuring rules.
-func (a *Accumulator) foldRRobust2D(t snapshotTerm, lo, hi int) {
-	cg := a.cosG[0]
-	cosPhi := a.cosPhi[lo:hi]
-	sinPhi := a.sinPhi[lo:hi]
-	refAper := a.refAper[lo:hi]
-	resSin := a.resSin[lo:hi]
-	resCos := a.resCos[lo:hi]
-	trackQ := a.trackQ
-	var qRe, qIm []float64
-	if trackQ {
-		qRe = a.qRe[lo:hi]
-		qIm = a.qIm[lo:hi]
-	}
-	if a.fastTrig {
-		for i := range cosPhi {
-			aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
-			res := wrapToPiFast(t.relPhase - (refAper[i] - aperture))
-			s, c := mathx.FastSincos(res)
-			resSin[i] += s
-			resCos[i] += c
-			if trackQ {
-				sq, cq := mathx.FastSincos(t.relPhase + aperture)
-				qRe[i] += cq
-				qIm[i] += sq
-			}
-		}
-		return
-	}
-	for i := range cosPhi {
-		aperture := t.scale * (t.cosA*cosPhi[i] + t.sinA*sinPhi[i]) * cg
-		ci := refAper[i] - aperture
-		res := mathx.WrapToPi(t.relPhase - ci)
-		s, c := math.Sincos(res)
-		resSin[i] += s
-		resCos[i] += c
-		if trackQ {
-			sq, cq := math.Sincos(t.relPhase + aperture)
-			qRe[i] += cq
-			qIm[i] += sq
-		}
-	}
-}
-
-// Evaluator returns the full-term batch engine over the accumulated
-// snapshots, for refinement rounds and rescoring. It is (re)built lazily
-// after the last Add.
+// Evaluator returns the batch engine over the added snapshots. It is
+// (re)built lazily after the last Add.
 func (a *Accumulator) Evaluator() (*Evaluator, error) {
 	if len(a.terms) < 2 {
 		return nil, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(a.terms))
@@ -564,278 +113,53 @@ func (a *Accumulator) Evaluator() (*Evaluator, error) {
 	return a.ev, nil
 }
 
-// accFinishChunk adapts the finalize finishing pass to sched.Chunked.
-type accFinishChunk struct {
-	a   *Accumulator
-	out []float64
-}
-
-// RunChunk implements sched.Chunked for the chunked finishing pass.
-func (c *accFinishChunk) RunChunk(lo, hi int) { c.a.finishRange(c.out, lo, hi) }
-
-// finish computes the per-cell profile values from the accumulated sums
-// into out, chunking wide grids through the shared pool. The robust-R
-// branch is the expensive one (one weighting pass over all terms per cell);
-// Q and literal-R are O(1) per cell.
-func (a *Accumulator) finish(out []float64) {
-	if a.harmonic {
-		// Harmonic mode has no per-cell sums; synthesize from the
-		// coefficients (within harmonicSlack of the batch profile for Q,
-		// rSlack for R). The R synthesis runs on the finalize Evaluator's
-		// full term set — the same terms the coefficients folded.
-		if a.kind == KindR {
-			ev, err := a.Evaluator()
-			if err != nil {
-				return // <2 snapshots; callers guard before finish
-			}
-			sc := ev.getScratch()
-			ev.synthRowR(ev.terms, &a.hcoeffs, sc, a.cosG[0], a.sinPhi, a.cosPhi, out, false)
-			ev.putScratch(sc)
-			return
-		}
-		a.hcoeffs.synthesize(out, a.sinPhi, a.cosPhi)
-		return
-	}
-	heavy := a.kind == KindR && !a.params.LiteralReference
-	if (heavy || a.n >= addChunkMin) && sched.Workers() > 1 {
-		c := accFinishChunk{a: a, out: out}
-		_ = sched.Run(context.Background(), &c, a.n, chunkTarget)
-		return
-	}
-	a.finishRange(out, 0, a.n)
-}
-
-// finishRange finishes cells [lo, hi). Every expression mirrors the tail of
-// its batch kernel: Q divides the phasor magnitude by n exactly like
-// evalRowQ, and robust R replays evalRExact's weighting pass with the
-// streamed circular sums substituted for the batch-recomputed ones (they
-// are the same bits — same contributions, same order).
-func (a *Accumulator) finishRange(out []float64, lo, hi int) {
-	nTerms := len(a.terms)
-	switch {
-	case a.kind != KindR:
-		if a.fastTrig {
-			inv := 1 / float64(nTerms)
-			for k := lo; k < hi; k++ {
-				out[k] = math.Sqrt(a.qRe[k]*a.qRe[k]+a.qIm[k]*a.qIm[k]) * inv
-			}
-			return
-		}
-		for k := lo; k < hi; k++ {
-			out[k] = math.Hypot(a.qRe[k], a.qIm[k]) / float64(nTerms)
-		}
-	case a.params.LiteralReference:
-		if a.fastTrig {
-			for k := lo; k < hi; k++ {
-				out[k] = math.Sqrt(a.wRe[k]*a.wRe[k]+a.wIm[k]*a.wIm[k]) / float64(nTerms)
-			}
-			return
-		}
-		for k := lo; k < hi; k++ {
-			out[k] = math.Hypot(a.wRe[k], a.wIm[k]) / float64(nTerms)
-		}
-	default:
-		for k := lo; k < hi; k++ {
-			out[k] = a.finishRobustCell(k)
-		}
-	}
-}
-
-// finishRobustCell runs the robust-R weighting pass for one cell, using the
-// streamed circular sums for μ.
-func (a *Accumulator) finishRobustCell(k int) float64 {
-	az, cg := a.cell(k)
-	cosPhi, sinPhi := a.cosPhi[az], a.sinPhi[az]
-	refAperture := a.refAper[k]
-	mu := math.Atan2(a.resSin[k], a.resCos[k])
-	var sumRe, sumIm float64
-	if a.fastTrig {
-		for _, t := range a.terms {
-			aperture := t.scale * (t.cosA*cosPhi + t.sinA*sinPhi) * cg
-			res := wrapToPiFast(t.relPhase - (refAperture - aperture))
-			d := wrapToPiFast(res - mu)
-			w := a.wNorm * math.Exp(-d*d*a.wInv2Sig)
-			s, c := mathx.FastSincos(t.relPhase + aperture)
-			sumRe += w * c
-			sumIm += w * s
-		}
-		return math.Sqrt(sumRe*sumRe+sumIm*sumIm) / float64(len(a.terms))
-	}
-	for _, t := range a.terms {
-		aperture := t.scale * (t.cosA*cosPhi + t.sinA*sinPhi) * cg
-		ci := refAperture - aperture
-		res := mathx.WrapToPi(t.relPhase - ci)
-		w := mathx.GaussPDF(mathx.WrapToPi(res-mu), 0, a.weightSigma)
-		s, c := math.Sincos(t.relPhase + aperture)
-		sumRe += w * c
-		sumIm += w * s
-	}
-	return math.Hypot(sumRe, sumIm) / float64(len(a.terms))
-}
-
-// finishQ computes the per-cell Q values from the tracked Q sums (prescreen
-// finalize path).
-func (a *Accumulator) finishQ(out []float64) {
-	nTerms := len(a.terms)
-	if a.fastTrig {
-		inv := 1 / float64(nTerms)
-		for k := range out {
-			out[k] = math.Sqrt(a.qRe[k]*a.qRe[k]+a.qIm[k]*a.qIm[k]) * inv
-		}
-		return
-	}
-	for k := range out {
-		out[k] = math.Hypot(a.qRe[k], a.qIm[k]) / float64(nTerms)
-	}
-}
-
-// CoarseProfile returns the accumulated 2D profile over the uniform coarse
-// grid (angles φ_i = i·step). Exact-trig values are bit-identical to
-// Evaluator.Profile2D over the same angles and full term set — except in
-// harmonic mode (HarmonicEval ToggleOn), where the profile is synthesized
-// from the streamed coefficients and lands within harmonicSlack (Q) /
-// rSlack (R) of batch.
+// CoarseProfile returns the 2D profile over the coarse grid the batch
+// search scans: the caller's angles in angles mode, else φ_i = i·step. The
+// values are Evaluator.Profile2D's over the added snapshots.
 func (a *Accumulator) CoarseProfile() (Profile, error) {
 	if a.threeD {
 		return Profile{}, fmt.Errorf("spectrum: 3D accumulator has no 2D profile")
 	}
-	if len(a.terms) < 2 {
-		return Profile{}, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(a.terms))
+	ev, err := a.Evaluator()
+	if err != nil {
+		return Profile{}, err
 	}
-	prof := Profile{
-		Angles: make([]float64, a.n),
-		Power:  make([]float64, a.n),
-	}
-	if a.angles != nil {
-		copy(prof.Angles, a.angles)
-	} else {
-		for i := range prof.Angles {
-			prof.Angles[i] = float64(i) * a.step
+	angles := a.angles
+	if angles == nil {
+		step := a.opts.coarseStep()
+		angles = make([]float64, gridSteps(2*math.Pi, step))
+		for i := range angles {
+			angles[i] = float64(i) * step
 		}
 	}
-	a.finish(prof.Power)
-	return prof, nil
+	return ev.Profile2D(angles), nil
 }
 
-// CoarseProfile3D is CoarseProfile over the az × polar grid.
+// CoarseProfile3D is CoarseProfile over the az × polar grid of the batch 3D
+// search.
 func (a *Accumulator) CoarseProfile3D() (Profile3D, error) {
 	if !a.threeD {
 		return Profile3D{}, fmt.Errorf("spectrum: 2D accumulator has no 3D profile")
 	}
-	if len(a.terms) < 2 {
-		return Profile3D{}, fmt.Errorf("spectrum: need ≥2 snapshots, have %d", len(a.terms))
+	ev, err := a.Evaluator()
+	if err != nil {
+		return Profile3D{}, err
 	}
-	azimuths := make([]float64, a.nAz)
+	azStep, polStep, nAz, nPol := a.opts.coarseGrid3D()
+	azimuths := make([]float64, nAz)
 	for i := range azimuths {
-		azimuths[i] = float64(i) * a.step
+		azimuths[i] = float64(i) * azStep
 	}
-	polars := make([]float64, a.nPol)
+	polars := make([]float64, nPol)
 	for i := range polars {
-		polars[i] = a.polBase + float64(i)*a.polStep
+		polars[i] = -math.Pi/2 + float64(i)*polStep
 	}
-	prof := newProfile3D(azimuths, polars)
-	flat := make([]float64, a.n)
-	a.finish(flat)
-	for i := range prof.Power {
-		copy(prof.Power[i], flat[i*a.nAz:(i+1)*a.nAz])
-	}
-	return prof, nil
+	return ev.Profile3D(azimuths, polars), nil
 }
 
-// coarseArgmaxAccum picks the coarse winner from the accumulated sums. The
-// selection replays the batch coarse argmax rules — strict > with the
-// lowest index winning ties, and the Q-prescreen + R top-K rescore when
-// configured — but on the streamed sums, so the expensive grid scan the
-// batch path runs after the session is already paid for.
-func (a *Accumulator) coarseArgmaxAccum(ev *Evaluator) int {
-	if a.harmonic {
-		// Replay the batch harmonicArgmax2D/harmonicArgmaxR2D selection on
-		// the streamed coefficients: synthesize, shortlist within 2·slack of
-		// the synthesized maximum, exact-rescore the shortlist. This path
-		// only runs for sessions within coarseTermLimit (see FindPeak2D), so
-		// ev.coarse is the full streamed set and coefficients, trig tables,
-		// synthesized values, and rescore terms all match the batch pass bit
-		// for bit — the pick does too.
-		searchCounters.streamSynth.Add(1)
-		if a.angles != nil {
-			// Angle-grid finalize: the batch selection over an arbitrary
-			// grid is nufftSelectQ/R (coarseArgmax2DAngles); running the
-			// very same selection code on the streamed coefficients makes
-			// the streamed pick bit-identical to the batch one.
-			hs := harmPool.Get().(*harmonicScratch)
-			var idx int
-			if a.kind == KindR {
-				idx = ev.nufftSelectR(ev.coarse, &a.hcoeffs, a.angles, hs)
-			} else {
-				idx = ev.nufftSelectQ(ev.coarse, &a.hcoeffs, a.angles, hs)
-			}
-			harmPool.Put(hs)
-			return idx
-		}
-		vals := make([]float64, a.n)
-		slack := harmonicSlack
-		if a.kind == KindR {
-			sc := ev.getScratch()
-			ev.synthRowR(ev.coarse, &a.hcoeffs, sc, a.cosG[0], a.sinPhi, a.cosPhi, vals, true)
-			ev.putScratch(sc)
-			slack = rSlack + rCoarseRel*ev.wNorm
-		} else {
-			a.hcoeffs.synthesize(vals, a.sinPhi, a.cosPhi)
-		}
-		maxV := math.Inf(-1)
-		for _, v := range vals {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var cand []int
-		for k, v := range vals {
-			if v >= maxV-2*slack {
-				cand = append(cand, k)
-			}
-		}
-		return ev.rescoreTopK(ev.coarse, cand, a.step, 0, 0, 0)
-	}
-	if a.kind == KindR && a.opts.PrescreenTopK > 0 && a.angles == nil {
-		// Batch R searches with prescreen shortlist by Q then rescore with
-		// the full R formula; replaying that selection on the streamed Q
-		// sums keeps the two paths' picks identical (including when the Q
-		// and R shortlists diverge for literal-reference sessions). The
-		// batch angle-grid route has no prescreen pass, so angles-mode
-		// sessions fall through to the dense finish instead.
-		qVals := make([]float64, a.n)
-		a.finishQ(qVals)
-		return ev.rescoreTopK(ev.coarse, topKIndices(qVals, a.opts.PrescreenTopK), a.step, a.azCountArg(), a.polBase, a.polStep)
-	}
-	vals := make([]float64, a.n)
-	a.finish(vals)
-	best, bestVal := 0, math.Inf(-1)
-	for k, v := range vals {
-		if v > bestVal {
-			best, bestVal = k, v
-		}
-	}
-	return best
-}
-
-// azCountArg returns the azCount argument batch helpers expect: the row
-// width in 3D, 0 in 2D.
-func (a *Accumulator) azCountArg() int {
-	if a.threeD {
-		return a.nAz
-	}
-	return 0
-}
-
-// FindPeak2D finalizes the accumulated session into the refined 2D peak,
-// running the same refinement rounds (on the same full-term Evaluator
-// machinery) as the batch FindPeak2DEval. The result is bit-identical to
-// the batch search for every session: up to coarseTermLimit snapshots the
-// streamed sums ARE the batch coarse scan (the strided subset is the full
-// set), and beyond that — where the batch coarse pass scores only the
-// strided subset, which no streaming pass can reproduce because the stride
-// depends on the final count — the finalize falls back to the batch search
-// itself, trading the streamed head start for the guarantee.
+// FindPeak2D finalizes the session into the refined 2D peak: the batch
+// FindPeak2DEval (FindPeak2DAnglesEval in angles mode) on the added
+// snapshots.
 func (a *Accumulator) FindPeak2D() (float64, float64, error) {
 	if a.threeD {
 		return 0, 0, fmt.Errorf("spectrum: 3D accumulator cannot run a 2D peak search")
@@ -844,25 +168,15 @@ func (a *Accumulator) FindPeak2D() (float64, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(a.terms) > coarseTermLimit {
-		if a.angles != nil {
-			az, pow := FindPeak2DAnglesEval(ev, a.angles, a.opts)
-			return az, pow, nil
-		}
-		az, pow := FindPeak2DEval(ev, a.opts)
+	if a.angles != nil {
+		az, pow := FindPeak2DAnglesEval(ev, a.angles, a.opts)
 		return az, pow, nil
 	}
-	idx := a.coarseArgmaxAccum(ev)
-	base := float64(idx) * a.step
-	if a.angles != nil {
-		base = a.angles[idx]
-	}
-	az, pow := ev.refine2D(base, a.step, a.opts)
+	az, pow := FindPeak2DEval(ev, a.opts)
 	return az, pow, nil
 }
 
-// FindPeak3D is FindPeak2D over the az × polar grid, with the same
-// bit-identity contract (including the batch fallback past coarseTermLimit).
+// FindPeak3D is FindPeak2D for the batch FindPeak3DEval.
 func (a *Accumulator) FindPeak3D() (Peak3D, error) {
 	if !a.threeD {
 		return Peak3D{}, fmt.Errorf("spectrum: 2D accumulator cannot run a 3D peak search")
@@ -871,13 +185,5 @@ func (a *Accumulator) FindPeak3D() (Peak3D, error) {
 	if err != nil {
 		return Peak3D{}, err
 	}
-	if len(a.terms) > coarseTermLimit {
-		return FindPeak3DEval(ev, a.opts), nil
-	}
-	idx := a.coarseArgmaxAccum(ev)
-	best := Peak3D{
-		Azimuth: float64(idx%a.nAz) * a.step,
-		Polar:   a.polBase + float64(idx/a.nAz)*a.polStep,
-	}
-	return ev.refine3D(best, a.step, a.polStep, a.opts), nil
+	return FindPeak3DEval(ev, a.opts), nil
 }

@@ -24,7 +24,7 @@ func TestAccumulatorCoarseTermLimitBoundary(t *testing.T) {
 				snaps := synth(p, geom.V3(-2.2, 1.3, 0), n, 0.8, 0.05, rng)
 				pp := p
 				pp.LiteralReference = tc.literal
-				so := SearchOptions{PrescreenTopK: tc.prescreen}
+				so := SearchOptions{}
 				a, err := NewAccumulator2D(pp, tc.kind, so)
 				if err != nil {
 					t.Fatal(err)
@@ -136,9 +136,6 @@ func TestAccumulatorHarmonicStreaming(t *testing.T) {
 		a, err := NewAccumulator2D(p, KindQ, so)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if a.qRe != nil {
-			t.Fatal("harmonic mode must not allocate per-cell Q sums")
 		}
 		feedAccumulator(t, a, snaps)
 		gotAz, gotPow, err := a.FindPeak2D()

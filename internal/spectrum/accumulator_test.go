@@ -7,21 +7,19 @@ import (
 
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/phase"
+	"github.com/tagspin/tagspin/internal/sched"
 )
 
-// accumKinds enumerates the (kind, literal, prescreen) combinations the
-// accumulator streams differently.
+// accumKinds enumerates the (kind, literal) combinations the batch search
+// scores differently.
 var accumKinds = []struct {
-	name      string
-	kind      Kind
-	literal   bool
-	prescreen int
+	name    string
+	kind    Kind
+	literal bool
 }{
-	{"Q", KindQ, false, 0},
-	{"R-robust", KindR, false, 0},
-	{"R-literal", KindR, true, 0},
-	{"R-robust-prescreen", KindR, false, 8},
-	{"R-literal-prescreen", KindR, true, 8},
+	{"Q", KindQ, false},
+	{"R-robust", KindR, false},
+	{"R-literal", KindR, true},
 }
 
 // feedAccumulator streams snapshots through Add in order.
@@ -48,9 +46,7 @@ func TestAccumulatorCoarseProfileBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pp := p
 			pp.LiteralReference = tc.literal
-			so := opts
-			so.PrescreenTopK = tc.prescreen
-			a, err := NewAccumulator2D(pp, tc.kind, so)
+			a, err := NewAccumulator2D(pp, tc.kind, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +123,7 @@ func TestAccumulatorFindPeak2DBitIdentical(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				pp := p
 				pp.LiteralReference = tc.literal
-				so := SearchOptions{PrescreenTopK: tc.prescreen}
+				so := SearchOptions{}
 				var eo []EvalOption
 				if fast {
 					eo = append(eo, WithFastTrig())
@@ -171,7 +167,6 @@ func TestAccumulatorFindPeak3DBitIdentical(t *testing.T) {
 				pp := p
 				pp.LiteralReference = tc.literal
 				opts := so
-				opts.PrescreenTopK = tc.prescreen
 				var eo []EvalOption
 				if fast {
 					eo = append(eo, WithFastTrig())
@@ -271,7 +266,7 @@ func TestPooledAccumulatorEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pp := p
 			pp.LiteralReference = tc.literal
-			so := SearchOptions{PrescreenTopK: tc.prescreen}
+			so := SearchOptions{}
 			run := func() (Profile, float64, float64) {
 				a, err := NewAccumulator2D(pp, tc.kind, so)
 				if err != nil {
@@ -301,45 +296,6 @@ func TestPooledAccumulatorEquivalence(t *testing.T) {
 				t.Fatalf("peak: serial (%v, %v) != pooled (%v, %v)", serAz, serPow, poolAz, poolPow)
 			}
 		})
-	}
-}
-
-// TestPrescreenAblation is the satellite's drift bound: the refined peak of
-// a prescreened robust-R search must land within one coarse cell of the
-// full-R scan's refined peak on noisy sessions.
-func TestPrescreenAblation(t *testing.T) {
-	p := testParams()
-	step := SearchOptions{}.coarseStep()
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		reader := geom.V3(-2.2+0.3*float64(seed), 1.3, 0)
-		snaps := synth(p, reader, 80, 0.8, 0.12, rng)
-		ev, err := NewEvaluator(snaps, p, KindR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullAz, _ := FindPeak2DEval(ev, SearchOptions{})
-		preAz, _ := FindPeak2DEval(ev, SearchOptions{PrescreenTopK: 8})
-		if d := geom.AngleDistance(fullAz, preAz); d > step {
-			t.Fatalf("seed %d: prescreened peak %v° drifted %v° from full scan %v°",
-				seed, geom.Degrees(preAz), geom.Degrees(d), geom.Degrees(fullAz))
-		}
-	}
-}
-
-// TestPrescreenMatchesFullScan checks that on clean sessions — where Q and
-// R agree on the basin — the prescreen picks the exact same refined peak.
-func TestPrescreenMatchesFullScan(t *testing.T) {
-	p := testParams()
-	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 60, 0.8, 0, nil)
-	ev, err := NewEvaluator(snaps, p, KindR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullAz, fullPow := FindPeak2DEval(ev, SearchOptions{})
-	preAz, prePow := FindPeak2DEval(ev, SearchOptions{PrescreenTopK: 8})
-	if fullAz != preAz || fullPow != prePow {
-		t.Fatalf("prescreen (%v, %v) != full (%v, %v)", preAz, prePow, fullAz, fullPow)
 	}
 }
 
@@ -399,4 +355,30 @@ func TestAccumulatorErrors(t *testing.T) {
 	if _, err := NewAccumulator2D(bad, KindQ, SearchOptions{}); err == nil {
 		t.Error("invalid params accepted")
 	}
+}
+
+// TestAccumulatorAddSubmitsNoPoolJobs pins the term-log contract: on the
+// default 720-cell grid, with the compute pool wide enough that any grid
+// work would be chunked onto it, Add must leave the pool's job and chunk
+// counts untouched — the grid is scanned once, at finalize.
+func TestAccumulatorAddSubmitsNoPoolJobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	p := testParams()
+	snaps := synth(p, geom.V3(-2.2, 1.3, 0), 300, 0.8, 0.05, rng)
+	withPoolWidth(t, 4, func() {
+		for _, tc := range accumKinds {
+			pp := p
+			pp.LiteralReference = tc.literal
+			a, err := NewAccumulator2D(pp, tc.kind, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := sched.PoolStats()
+			feedAccumulator(t, a, snaps)
+			if after := sched.PoolStats(); after.JobsRun != before.JobsRun || after.ChunksRun != before.ChunksRun {
+				t.Errorf("%s: Add ran %d pool jobs (%d chunks), want 0",
+					tc.name, after.JobsRun-before.JobsRun, after.ChunksRun-before.ChunksRun)
+			}
+		}
+	})
 }

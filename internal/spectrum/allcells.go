@@ -254,8 +254,8 @@ func (h *harmonicCoeffs) synthesizeComplex(outRe, outIm, sinPhi, cosPhi []float6
 // supplies the working buffers — residuals/apertures are repurposed as the
 // per-term phase-coefficient arrays, so the rare guard fallback runs on a
 // second pooled Scratch. The trig tables are parameters rather than sc
-// fields because the streaming Accumulator synthesizes against its own
-// plan-cached tables.
+// fields because Profile3DOpt synthesizes every polar row against one
+// shared azimuth table.
 func (e *Evaluator) synthRowR(terms termSlices, hc *harmonicCoeffs, sc *Scratch, cg float64, sinPhi, cosPhi, out []float64, coarse bool) {
 	n := len(out)
 	if terms.n() == 0 || n == 0 {
@@ -377,7 +377,7 @@ func (e *Evaluator) weightRowR(terms termSlices, sc *Scratch, cg float64, sinPhi
 // cell always shortlists despite the coarse kernels' error. The rescore
 // evaluates exactly what the dense scan evaluates at those cells (ascending
 // index, strict >), so the returned index equals the dense scan's argmax —
-// TestRHarmonicArgmax and the streaming boundary suite pin this.
+// TestRHarmonicArgmax pins this.
 func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int {
 	hs := harmPool.Get().(*harmonicScratch)
 	foldTermsHarmonic(hs, terms, 1)

@@ -60,13 +60,10 @@ func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 				snaps := synth(p, geom.V3(-2.2, 1.3, 0), n, 0.8, 0.05, rng)
 				pp := p
 				pp.LiteralReference = tc.literal
-				so := SearchOptions{PrescreenTopK: tc.prescreen, HarmonicEval: ToggleOn}
+				so := SearchOptions{HarmonicEval: ToggleOn}
 				a, err := NewAccumulator2D(pp, tc.kind, so)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if tc.kind == KindR && tc.prescreen <= 0 && a.refAper != nil {
-					t.Fatal("harmonic R streaming must not allocate per-cell arrays")
 				}
 				feedAccumulator(t, a, snaps)
 				gotAz, gotPow, err := a.FindPeak2D()
@@ -242,7 +239,6 @@ func TestSearchStatsCounters(t *testing.T) {
 	ResetSearchStats()
 	FindPeak2DEval(evQ, SearchOptions{})
 	FindPeak2DEval(evR, SearchOptions{})
-	FindPeak2DEval(evR, SearchOptions{PrescreenTopK: 8, Hierarchical: ToggleOff})
 	FindPeak2DEval(evR, SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff})
 	evR.Profile2DOpt(UniformAngles(64), SearchOptions{})
 	evR.Profile2DOpt(UniformAngles(64), SearchOptions{HarmonicEval: ToggleOff})
@@ -255,9 +251,8 @@ func TestSearchStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := SearchStatsSnapshot()
-	if st.HarmonicQ2D == 0 || st.HarmonicR2D == 0 || st.Prescreen2D == 0 ||
-		st.Dense2D == 0 || st.ProfileSynth == 0 || st.ProfileDense == 0 ||
-		st.StreamSynth == 0 {
+	if st.HarmonicQ2D == 0 || st.HarmonicR2D == 0 ||
+		st.Dense2D == 0 || st.ProfileSynth == 0 || st.ProfileDense == 0 {
 		t.Fatalf("missing route counts: %+v", st)
 	}
 }

@@ -112,9 +112,7 @@ func besselJArray(w float64, out []float64) {
 // harmonicCoeffs accumulates the twisted Fourier coefficients of the Q
 // phasor sum. Entry m of aRe/aIm is the complex A_m above (j^m already
 // folded in), bRe/bIm is B_m; index 0 of b is unused (sin 0 = 0). The
-// accumulation is a per-snapshot fold — term order is the only order — so
-// the streaming Accumulator produces bit-identical coefficients to a batch
-// fold over the same terms.
+// accumulation is a per-snapshot fold in term order.
 type harmonicCoeffs struct {
 	aRe, aIm []float64
 	bRe, bIm []float64
@@ -144,32 +142,9 @@ func (h *harmonicCoeffs) reset(maxM int) {
 	h.maxM = 0
 }
 
-// ensure grows the coefficient arrays to hold harmonics up to order maxM,
-// preserving accumulated values (new entries are zero). The streaming
-// Accumulator discovers the needed order term by term, so unlike reset the
-// growth must not clear; addition order per entry is unchanged, keeping the
-// grown fold bit-identical to a batch fold sized up front.
-func (h *harmonicCoeffs) ensure(maxM int) {
-	need := maxM + 1
-	if len(h.aRe) >= need {
-		return
-	}
-	backing := make([]float64, 4*need)
-	aRe := backing[0*need : 1*need : 1*need]
-	aIm := backing[1*need : 2*need : 2*need]
-	bRe := backing[2*need : 3*need : 3*need]
-	bIm := backing[3*need : 4*need : 4*need]
-	copy(aRe, h.aRe)
-	copy(aIm, h.aIm)
-	copy(bRe, h.bRe)
-	copy(bIm, h.bIm)
-	h.aRe, h.aIm, h.bRe, h.bIm = aRe, aIm, bRe, bIm
-}
-
 // foldTerm folds one snapshot term into the coefficients. bess must hold
 // J_0..J_H(w) for this term's w = z·cos γ (besselJArray); the fold touches
-// harmonics 0..H only, so each term contributes exactly the same bits
-// whether folded batch-style or one Add at a time. Cost: one sincos plus
+// harmonics 0..H only. Cost: one sincos plus
 // O(H) multiply-adds — cos/sin(m·a) and the j^m twist both advance by
 // recurrence.
 func (h *harmonicCoeffs) foldTerm(relPhase, cosA, sinA float64, bess []float64) {

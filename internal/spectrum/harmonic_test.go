@@ -52,7 +52,7 @@ func TestHarmonicSynthesisMatchesExact(t *testing.T) {
 		hs.coeffs.synthesize(got, sc.sinPhi[:n], sc.cosPhi[:n])
 
 		want := make([]float64, n)
-		ev.evalRow(KindQ, ev.coarse, sc, 0, n, want)
+		ev.evalRow(ev.coarse, sc, 0, n, want)
 
 		var maxD float64
 		for k := range got {

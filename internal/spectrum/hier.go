@@ -34,9 +34,9 @@ import (
 // so the ±2 window provably contains it.
 //
 // Both profile kinds score the hierarchy with the Q formula (the cheap
-// kernel; for KindR this mirrors the PrescreenTopK pass — R is Q with
-// per-snapshot likelihood weights and peaks in the same basin), and KindR
-// rescores the top-scoring evaluated cells with the full R formula.
+// kernel; R is Q with per-snapshot likelihood weights and peaks in the same
+// basin), and KindR rescores the top hierRescoreK evaluated cells with the
+// full R formula.
 
 const (
 	// hierMaxSlack caps the top-level retention slack τ as a fraction of
@@ -47,8 +47,8 @@ const (
 	// hierMinTopCells is the minimum top-level lattice size; coarser starts
 	// save nothing and give the threshold too few samples of the profile.
 	hierMinTopCells = 16
-	// hierRescoreK is the KindR rescore width when SearchOptions leaves
-	// PrescreenTopK unset, matching the prescreen pass's "few handfuls".
+	// hierRescoreK is the KindR rescore width: a few handfuls of the best
+	// Q-scored cells, enough to hold R's basin.
 	hierRescoreK = 12
 )
 
@@ -268,13 +268,7 @@ func (e *Evaluator) hierarchicalArgmax(terms termSlices, nAz, nPol int, azStep, 
 	}
 	switch {
 	case e.kind == KindR:
-		k := opts.PrescreenTopK
-		if k <= 0 {
-			k = hierRescoreK
-		}
-		if k > len(active) {
-			k = len(active)
-		}
+		k := min(hierRescoreK, len(active))
 		best = e.rescoreTopK(terms, topKIndices(vals, k), azStep, azCount, polBase, polStep)
 	case synth:
 		// Synthesized scores cannot pick the winner directly without risking

@@ -26,8 +26,8 @@ func randReader(rng *rand.Rand, flat bool) geom.Vec3 {
 // the Lipschitz retention threshold provably keeps the dense argmax cell in
 // the evaluated set at every level (DESIGN.md §11 derives the bound), so
 // the refined result is bit-identical to the dense path. KindR scores the
-// hierarchy with Q and rescores the top cells with R, so it inherits the
-// prescreen pass's within-one-cell contract rather than bit identity.
+// hierarchy with Q and rescores the top cells with R, so it gets a
+// within-one-cell contract rather than bit identity.
 func TestPeakCaptureBound(t *testing.T) {
 	p := testParams()
 	opts := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOn}

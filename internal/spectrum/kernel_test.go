@@ -3,6 +3,7 @@ package spectrum
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"github.com/tagspin/tagspin/internal/geom"
@@ -82,7 +83,7 @@ func TestRowKernelMatchesEvalAt(t *testing.T) {
 			for _, gamma := range []float64{0, 0.31} {
 				ev.fillAngleTrig(sc, angles)
 				out := make([]float64, len(angles))
-				ev.evalRow(ev.kind, ev.terms, sc, gamma, len(angles), out)
+				ev.evalRow(ev.terms, sc, gamma, len(angles), out)
 				ref := ev.NewScratch()
 				for k, phi := range angles {
 					want := ev.EvalAt(ref, phi, gamma)
@@ -290,19 +291,34 @@ func TestFindPeakEvalZeroAllocs(t *testing.T) {
 			FindPeak2DEval(ev, SearchOptions{})
 			FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
 
-			if a := testing.AllocsPerRun(20, func() { ev.Profile2DInto(&prof, angles) }); a != 0 {
+			if a := allocsPerRunNoGC(t, 20, func() { ev.Profile2DInto(&prof, angles) }); a != 0 {
 				t.Errorf("%v fast=%v: Profile2DInto allocates %v/op, want 0", kind, fast, a)
 			}
-			if a := testing.AllocsPerRun(10, func() { FindPeak2DEval(ev, SearchOptions{}) }); a != 0 {
+			if a := allocsPerRunNoGC(t, 10, func() { FindPeak2DEval(ev, SearchOptions{}) }); a != 0 {
 				t.Errorf("%v fast=%v: FindPeak2DEval allocates %v/op, want 0", kind, fast, a)
 			}
-			if a := testing.AllocsPerRun(3, func() {
+			if a := allocsPerRunNoGC(t, 3, func() {
 				FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: geom.Radians(6)})
 			}); a != 0 {
 				t.Errorf("%v fast=%v: FindPeak3DEval allocates %v/op, want 0", kind, fast, a)
 			}
 		}
 	}
+}
+
+// allocsPerRunNoGC is testing.AllocsPerRun with the collector off for the
+// measured window only: a GC mid-window empties the sync.Pool scratch the
+// scans draw from, and refilling it would count as the scan's allocation.
+// AllocsPerRun sets GOMAXPROCS=1 for the window, but the compute pool keeps
+// its own width, so the window also pins the pool to one worker: that is
+// the pooled serial path the zero-alloc tests mean to measure, and it keeps
+// the multi-worker path's blocking waits (which allocate runtime wait
+// records) and per-P pool misses out of the count.
+func allocsPerRunNoGC(t *testing.T, runs int, f func()) (allocs float64) {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	withPoolWidth(t, 1, func() { allocs = testing.AllocsPerRun(runs, f) })
+	return allocs
 }
 
 // --- fast-path micro-benchmarks (the exact-path set lives in
@@ -329,7 +345,7 @@ func benchRow(b *testing.B, kind Kind, opts ...EvalOption) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.fillUniformTrig(sc, 0, rowLen, step)
-		ev.evalRow(ev.kind, ev.terms, sc, 0.1, rowLen, out)
+		ev.evalRow(ev.terms, sc, 0.1, rowLen, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowLen, "ns/candidate")
 }

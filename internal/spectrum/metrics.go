@@ -15,7 +15,7 @@ import (
 var ErrNonUniformAngles = errors.New("spectrum: profile angles are not uniformly spaced")
 
 // searchCountersT tallies which coarse-search route each scan actually took
-// — the accelerators (harmonic, hierarchical, prescreen, all-cells
+// — the accelerators (harmonic, hierarchical, NUFFT, all-cells
 // synthesis) versus the dense fallback. Bench and soak runs read the
 // snapshot to confirm the intended path ran; a soak where Dense2D climbs
 // while HarmonicR2D stays flat means the routing gate regressed, not the
@@ -27,13 +27,10 @@ type searchCountersT struct {
 	harmonicR2D  atomic.Uint64
 	hier2D       atomic.Uint64
 	hier3D       atomic.Uint64
-	prescreen2D  atomic.Uint64
-	prescreen3D  atomic.Uint64
 	dense2D      atomic.Uint64
 	dense3D      atomic.Uint64
 	profileSynth atomic.Uint64
 	profileDense atomic.Uint64
-	streamSynth  atomic.Uint64
 	nufft2D      atomic.Uint64
 	nufftR2D     atomic.Uint64
 	denseNU2D    atomic.Uint64
@@ -46,26 +43,27 @@ var searchCounters searchCountersT
 // SearchStats is a point-in-time snapshot of the coarse-search routing
 // counters. The 2D/3D argmax counters sum to the number of coarse scans;
 // the Profile counters count option-gated full-profile calls
-// (Profile2DIntoOpt/Profile3DOpt) by route; StreamSynth counts streaming
-// Accumulator finalizes served from harmonic coefficients without a dense
-// replay.
+// (Profile2DIntoOpt/Profile3DOpt) by route.
 type SearchStats struct {
 	HarmonicQ2D  uint64 // 2D argmax via Q harmonic synthesis
 	HarmonicR2D  uint64 // 2D argmax via the two-pass R synthesis
 	Hier2D       uint64 // 2D argmax via the hierarchical scanner
 	Hier3D       uint64 // 3D argmax via the hierarchical scanner
-	Prescreen2D  uint64 // 2D argmax via the Q-prescreen pass
-	Prescreen3D  uint64 // 3D argmax via the Q-prescreen pass
 	Dense2D      uint64 // 2D argmax via the dense scan
 	Dense3D      uint64 // 3D argmax via the dense scan
 	ProfileSynth uint64 // full profiles synthesized all-cells
 	ProfileDense uint64 // full profiles from Opt entry points scanned densely
-	StreamSynth  uint64 // streaming finalizes served from harmonic coefficients
 	NUFFT2D      uint64 // angle-grid argmax via the Q NUFFT synthesis
 	NUFFTR2D     uint64 // angle-grid argmax via the R NUFFT replay
 	DenseNU2D    uint64 // angle-grid argmax via the dense scan
 	HierSynth    uint64 // hierarchical scans with synthesized basin evals
 	NUFFTProfile uint64 // full Q profiles spread through the NUFFT kernel
+
+	// StreamSynth always reads 0: streaming Accumulator finalizes run the
+	// batch search and count under its routes. The field stays because
+	// readers of the exported struct (the wire benchmark, dashboards) name
+	// it.
+	StreamSynth uint64
 }
 
 // SearchStatsSnapshot returns the current routing counters.
@@ -75,13 +73,10 @@ func SearchStatsSnapshot() SearchStats {
 		HarmonicR2D:  searchCounters.harmonicR2D.Load(),
 		Hier2D:       searchCounters.hier2D.Load(),
 		Hier3D:       searchCounters.hier3D.Load(),
-		Prescreen2D:  searchCounters.prescreen2D.Load(),
-		Prescreen3D:  searchCounters.prescreen3D.Load(),
 		Dense2D:      searchCounters.dense2D.Load(),
 		Dense3D:      searchCounters.dense3D.Load(),
 		ProfileSynth: searchCounters.profileSynth.Load(),
 		ProfileDense: searchCounters.profileDense.Load(),
-		StreamSynth:  searchCounters.streamSynth.Load(),
 		NUFFT2D:      searchCounters.nufft2D.Load(),
 		NUFFTR2D:     searchCounters.nufftR2D.Load(),
 		DenseNU2D:    searchCounters.denseNU2D.Load(),
@@ -96,13 +91,10 @@ func ResetSearchStats() {
 	searchCounters.harmonicR2D.Store(0)
 	searchCounters.hier2D.Store(0)
 	searchCounters.hier3D.Store(0)
-	searchCounters.prescreen2D.Store(0)
-	searchCounters.prescreen3D.Store(0)
 	searchCounters.dense2D.Store(0)
 	searchCounters.dense3D.Store(0)
 	searchCounters.profileSynth.Store(0)
 	searchCounters.profileDense.Store(0)
-	searchCounters.streamSynth.Store(0)
 	searchCounters.nufft2D.Store(0)
 	searchCounters.nufftR2D.Store(0)
 	searchCounters.denseNU2D.Store(0)

@@ -349,7 +349,7 @@ func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 					snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
 					pp := p
 					pp.LiteralReference = tc.literal
-					so := SearchOptions{PrescreenTopK: tc.prescreen, HarmonicEval: harmonic}
+					so := SearchOptions{HarmonicEval: harmonic}
 					a, err := NewAccumulator2DAngles(pp, tc.kind, angles, so)
 					if err != nil {
 						t.Fatal(err)
@@ -391,7 +391,7 @@ func TestAccumulatorAnglesCoarseProfile(t *testing.T) {
 			}
 			pp := p
 			pp.LiteralReference = tc.literal
-			a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{PrescreenTopK: tc.prescreen}, evalOpts...)
+			a, err := NewAccumulator2DAngles(pp, tc.kind, angles, SearchOptions{}, evalOpts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -482,8 +482,7 @@ func TestAnglesApproxUniform(t *testing.T) {
 }
 
 // TestNonUniformMissCounter pins the plan-cache bypass counter: non-uniform
-// trig builds (batch scans and the streamed angle-grid table) must count,
-// and ResetPlanCache must zero the counter.
+// trig builds must count, and ResetPlanCache must zero the counter.
 func TestNonUniformMissCounter(t *testing.T) {
 	p := testParams()
 	rng := rand.New(rand.NewSource(572))
@@ -499,16 +498,6 @@ func TestNonUniformMissCounter(t *testing.T) {
 	ev.Profile2DInto(&prof, angles)
 	if st := PlanCacheSnapshot(); st.NonUniformMiss == 0 {
 		t.Fatal("dense non-uniform scan did not count a bypass")
-	}
-
-	ResetPlanCache()
-	a, err := NewAccumulator2DAngles(p, KindQ, angles, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = a
-	if st := PlanCacheSnapshot(); st.NonUniformMiss != 1 {
-		t.Fatalf("angle-grid accumulator counted %d bypasses, want 1", st.NonUniformMiss)
 	}
 
 	ResetPlanCache()

@@ -55,19 +55,6 @@ type SearchOptions struct {
 	// from a 0.5° start); NoRefine (or any negative value) disables
 	// refinement entirely, returning the raw coarse-grid argmax.
 	Refinements int
-	// PrescreenTopK, when positive, replaces KindR coarse scans with a
-	// two-stage pass: the ~4× cheaper Q row kernel scores the whole grid,
-	// then only the top-K cells are rescored with the full R formula and
-	// the best R cell seeds refinement (Q is 1.9 ms vs R 6.6 ms on the
-	// default 720-cell grid per BENCH_3). Q and R peak in the same basin —
-	// R is Q with per-snapshot likelihood weights — so K of a few handfuls
-	// keeps the refined peak within the coarse cell of the full-R pass
-	// (the ablation test bounds the drift). Zero disables prescreening;
-	// KindQ searches ignore it. The 3D coarse pass honors it the same way
-	// as 2D (coarseArgmax3D routes KindR scans through the row-chunked
-	// Q prescreen); it also sets the KindR rescore width of the
-	// hierarchical scanner.
-	PrescreenTopK int
 	// HarmonicEval selects the FFT-style harmonic evaluator (harmonic.go,
 	// allcells.go) for 2D azimuth coarse scans: O(snapshots×H + cells×H)
 	// coefficient work instead of O(cells×snapshots) trig, returning
@@ -76,23 +63,20 @@ type SearchOptions struct {
 	// kinds — KindQ synthesizes the phasor magnitude directly, KindR runs
 	// the two-pass all-cells transform (the weights' inputs are
 	// bandlimited even though R itself is not; see allcells.go). A KindR
-	// scan with PrescreenTopK set keeps the prescreen route, and
-	// Hierarchical: On keeps the lattice scanner, matching the streaming
-	// Accumulator's replay rules.
+	// scan with Hierarchical: On keeps the lattice scanner.
 	HarmonicEval Toggle
 	// Hierarchical selects the Lipschitz-bounded coarse-to-fine lattice
 	// scanner (hier.go) for coarse grid scans — 3D always, 2D when the
 	// harmonic evaluator is off. Auto means on for KindQ (where the
 	// captured argmax is exactly the dense scan's cell) and off for KindR
-	// (where enabling it scores with Q and rescores the top cells with R,
-	// like the prescreen pass).
+	// (where enabling it scores with Q and rescores the top hierRescoreK
+	// cells with R).
 	Hierarchical Toggle
 	// NUFFT selects the type-2 NUFFT synthesis route (nufft.go) for the
 	// non-uniform-grid entry points — FindPeak2DAngles, Profile2DInto/
-	// Profile3D Q synthesis on ≥nufftMinCells grids, and the Accumulator's
-	// angle-grid finalize: fold once, synthesize on an oversampled uniform
-	// grid, spread to the requested cells through a truncated Gaussian
-	// kernel. Auto means on for those entry points (argmaxes stay exact
+	// Profile3D Q synthesis on ≥nufftMinCells grids: fold once, synthesize
+	// on an oversampled uniform grid, spread to the requested cells through
+	// a truncated Gaussian kernel. Auto means on for those entry points (argmaxes stay exact
 	// via shortlist-then-rescore; synthesized profile values carry
 	// ≤nufftSlackQ error) and off for the hierarchical scanner's basin
 	// evaluation, which only ToggleOn switches to per-cell harmonic
@@ -113,6 +97,15 @@ func (o SearchOptions) coarsePolarStep() float64 {
 		return geom.Radians(2)
 	}
 	return o.CoarsePolarStep
+}
+
+// coarseGrid3D returns the az × polar grid of the 3D coarse pass: azimuths
+// k·azStep over [0, 2π) and polar rows −π/2 + i·polStep over [−π/2, π/2]
+// inclusive.
+func (o SearchOptions) coarseGrid3D() (azStep, polStep float64, nAz, nPol int) {
+	azStep = o.coarseStep() * 4 // 3D coarse pass can be coarser; refined after
+	polStep = o.coarsePolarStep()
+	return azStep, polStep, gridSteps(2*math.Pi, azStep), int(math.Floor(math.Pi/polStep+1e-9)) + 1
 }
 
 func (o SearchOptions) refinements() int {
@@ -155,8 +148,7 @@ func FindPeak2D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 // runs the batched row kernel over the strided snapshot subset (≤64),
 // parallel across the angle grid, and the refinement rounds use the full
 // set. Steady-state calls allocate nothing — scratch and argmax state come
-// from the Evaluator's pools (the optional Q-prescreen pass is the one
-// exception: it buys its dense Q buffer per call).
+// from the Evaluator's pools.
 func FindPeak2DEval(ev *Evaluator, opts SearchOptions) (float64, float64) {
 	step := opts.coarseStep()
 	idx := ev.coarseArgmax2D(ev.coarse, gridSteps(2*math.Pi, step), step, opts)
@@ -243,8 +235,7 @@ func (e *Evaluator) denseArgmax2DAngles(terms termSlices, angles []float64) int 
 
 // rescoreAngles evaluates the exact per-cell formula at the given grid cells
 // (indices ascending) and returns the winner — rescoreTopK for arbitrary
-// angle grids. The streaming Accumulator's angle-grid finalize reuses this,
-// so batch and streamed picks share one selection path.
+// angle grids.
 func (e *Evaluator) rescoreAngles(terms termSlices, idxs []int, angles []float64) int {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
@@ -262,10 +253,7 @@ func (e *Evaluator) rescoreAngles(terms termSlices, idxs []int, angles []float64
 // default to a harmonic route: KindQ through the magnitude synthesis, KindR
 // through the two-pass all-cells transform (allcells.go) — each returning
 // exactly the dense scan's cell via the shortlist-and-rescore guarantee.
-// Explicit overrides keep their historical precedence: Hierarchical: On
-// selects the lattice scanner, and a KindR search with PrescreenTopK set
-// keeps the Q-prescreen pass (also what the streaming Accumulator replays,
-// so batch and streamed picks stay aligned).
+// A KindR search with Hierarchical: On takes the lattice scanner instead.
 func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64, opts SearchOptions) int {
 	autoOn := e.kind != KindR
 	if autoOn && opts.HarmonicEval.enabled(true) {
@@ -275,10 +263,6 @@ func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64, opts S
 	if opts.Hierarchical.enabled(autoOn) {
 		searchCounters.hier2D.Add(1)
 		return e.hierarchicalArgmax2D(terms, n, step, opts)
-	}
-	if e.kind == KindR && opts.PrescreenTopK > 0 {
-		searchCounters.prescreen2D.Add(1)
-		return e.prescreenArgmax(terms, n, step, 0, 0, 0, opts.PrescreenTopK)
 	}
 	if e.kind == KindR && opts.HarmonicEval.enabled(true) {
 		searchCounters.harmonicR2D.Add(1)
@@ -302,9 +286,7 @@ func (e *Evaluator) denseArgmax2D(terms termSlices, n int, step float64) int {
 
 // refine2D runs the local refinement rounds from a coarse-grid winner,
 // re-scoring it with the full snapshot set first so the comparisons are
-// apples-to-apples. Both the batch peak search and the streaming
-// Accumulator finalize through this helper, which is what keeps the two
-// paths' refined answers bit-identical when their coarse argmax agrees.
+// apples-to-apples.
 func (e *Evaluator) refine2D(best, step float64, opts SearchOptions) (float64, float64) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
@@ -371,10 +353,7 @@ func FindPeak3D(snaps []phase.Snapshot, p Params, kind Kind, opts SearchOptions)
 // chunk is exactly one polar row, so γ is fixed per row evaluation), and
 // the refinement rounds use the full set.
 func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
-	azStep := opts.coarseStep() * 4 // 3D coarse pass can be coarser; refined below
-	polStep := opts.coarsePolarStep()
-	nAz := gridSteps(2*math.Pi, azStep)
-	nPol := int(math.Floor(math.Pi/polStep+1e-9)) + 1 // [-π/2, π/2] inclusive
+	azStep, polStep, nAz, nPol := opts.coarseGrid3D()
 	idx := ev.coarseArgmax3D(ev.coarse, nAz, nPol, azStep, polStep, opts)
 	best := Peak3D{
 		Azimuth: float64(idx%nAz) * azStep,
@@ -387,15 +366,11 @@ func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
 // cell k = (k/nAz)-th polar row, (k%nAz)-th azimuth). KindQ searches
 // default to the hierarchical scanner (the harmonic route would refold
 // Bessel tables per polar row, which costs more than it saves); KindR
-// honors PrescreenTopK exactly like the 2D path.
+// scans densely unless Hierarchical: On.
 func (e *Evaluator) coarseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64, opts SearchOptions) int {
 	if opts.Hierarchical.enabled(e.kind != KindR) {
 		searchCounters.hier3D.Add(1)
 		return e.hierarchicalArgmax3D(terms, nAz, nPol, azStep, polStep, opts)
-	}
-	if e.kind == KindR && opts.PrescreenTopK > 0 {
-		searchCounters.prescreen3D.Add(1)
-		return e.prescreenArgmax(terms, nAz*nPol, azStep, nAz, -math.Pi/2, polStep, opts.PrescreenTopK)
 	}
 	searchCounters.dense3D.Add(1)
 	return e.denseArgmax3D(terms, nAz, nPol, azStep, polStep)
@@ -443,35 +418,8 @@ func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOp
 	return best
 }
 
-// prescreenArgmax implements SearchOptions.PrescreenTopK: one dense Q scan
-// over the uniform grid (2D when azCount == 0, az × polar rows otherwise),
-// then an R rescore of only the top-K Q cells. Ties in the rescore resolve
-// to the lowest index, matching the full scan's argmax rule.
-func (e *Evaluator) prescreenArgmax(terms termSlices, n int, step float64, azCount int, polBase, polStep float64, topK int) int {
-	out := make([]float64, n)
-	j := e.getJob()
-	j.terms = terms
-	j.kind = KindQ
-	j.n = n
-	j.step = step
-	j.out = out
-	if azCount > 0 {
-		j.chunk = azCount
-		j.azCount = azCount
-		j.polBase = polBase
-		j.polStep = polStep
-	} else {
-		j.chunk = chunkTarget
-	}
-	e.scanChunks(j)
-	e.putJob(j)
-	return e.rescoreTopK(terms, topKIndices(out, topK), step, azCount, polBase, polStep)
-}
-
-// rescoreTopK evaluates the full R formula at the given grid cells (indices
-// ascending) and returns the winner. The streaming Accumulator reuses this
-// for its prescreened finalize, so batch and streaming pick the same cell
-// from the same Q shortlist.
+// rescoreTopK evaluates the exact per-cell formula at the given grid cells
+// (indices ascending) and returns the winner.
 func (e *Evaluator) rescoreTopK(terms termSlices, idxs []int, step float64, azCount int, polBase, polStep float64) int {
 	sc := e.getScratch()
 	defer e.putScratch(sc)

@@ -66,8 +66,8 @@ func (p Params) Validate() error {
 	if p.Disk.Radius == 0 {
 		return fmt.Errorf("spectrum: zero disk radius gives no aperture")
 	}
-	if p.Sigma < 0 {
-		return fmt.Errorf("spectrum: negative sigma")
+	if p.Sigma < 0 || math.IsNaN(p.Sigma) || math.IsInf(p.Sigma, 0) {
+		return fmt.Errorf("spectrum: sigma %v is not a finite non-negative value", p.Sigma)
 	}
 	return nil
 }

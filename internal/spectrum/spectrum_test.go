@@ -375,3 +375,35 @@ func TestPeakTracksReaderRotation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAbsurdRadiusRejected pins that spectrum entry points refuse disk
+// geometry the engine cannot size buffers for — a radius of 1e15 m used to
+// validate and then crash the harmonic coarse scan — and a non-finite σ.
+func TestAbsurdRadiusRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	good := testParams()
+	snaps := synth(good, geom.V3(-2.2, 1.3, 0), 40, 0.8, 0.05, rng)
+	for _, r := range []float64{1e15, math.NaN(), math.Inf(1)} {
+		p := good
+		p.Disk.Radius = r
+		if err := p.Validate(); err == nil {
+			t.Errorf("radius %v: Validate accepted", r)
+		}
+		if _, err := NewEvaluator(snaps, p, KindR); err == nil {
+			t.Errorf("radius %v: NewEvaluator accepted", r)
+		}
+		if _, err := NewAccumulator2D(p, KindR, SearchOptions{}); err == nil {
+			t.Errorf("radius %v: NewAccumulator2D accepted", r)
+		}
+		if _, _, err := FindPeak2D(snaps, p, KindQ, SearchOptions{}); err == nil {
+			t.Errorf("radius %v: FindPeak2D accepted", r)
+		}
+	}
+	for _, sigma := range []float64{math.NaN(), math.Inf(1)} {
+		p := good
+		p.Sigma = sigma
+		if err := p.Validate(); err == nil {
+			t.Errorf("sigma %v: Validate accepted", sigma)
+		}
+	}
+}

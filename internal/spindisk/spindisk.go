@@ -55,10 +55,28 @@ type Disk struct {
 	Mount Mount
 }
 
+// MaxRadius is the largest disk radius Validate accepts, in meters. Real
+// spinning-tag rigs are tabletop motor disks a few tens of centimeters
+// across, so 10 m is far beyond any of them. The bound exists because
+// spectrum cost grows with the aperture scale 4πr/λ: the harmonic azimuth
+// synthesis expands every snapshot in ⌈4πr/λ⌉+20 Bessel harmonics, so an
+// unchecked radius such as 1e15 m sizes buffers without bound. At 10 m
+// and UHF (λ ≈ 0.33 m) the expansion stays near 400 harmonics.
+const MaxRadius = 10.0
+
 // Validate checks the disk's physical parameters.
 func (d Disk) Validate() error {
+	for _, v := range []float64{d.Radius, d.Omega, d.Theta0, d.Center.X, d.Center.Y, d.Center.Z} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("spindisk: non-finite geometry (center %v, radius %v, omega %v, theta0 %v)",
+				d.Center, d.Radius, d.Omega, d.Theta0)
+		}
+	}
 	if d.Radius < 0 {
 		return fmt.Errorf("spindisk: negative radius %v", d.Radius)
+	}
+	if d.Radius > MaxRadius {
+		return fmt.Errorf("spindisk: radius %v m above the %v m bound", d.Radius, MaxRadius)
 	}
 	if d.Omega == 0 {
 		return fmt.Errorf("spindisk: zero angular velocity")

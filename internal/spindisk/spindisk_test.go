@@ -208,3 +208,31 @@ func TestVerticalDisk(t *testing.T) {
 		t.Errorf("Angle = %v", got)
 	}
 }
+
+// TestDiskValidateRejectsAbsurdGeometry pins the finite-geometry and
+// radius-bound checks: each of these disks used to validate, and the
+// spectrum engine then sized its harmonic buffers from the radius.
+func TestDiskValidateRejectsAbsurdGeometry(t *testing.T) {
+	for name, mutate := range map[string]func(*Disk){
+		"radius NaN":      func(d *Disk) { d.Radius = math.NaN() },
+		"radius +Inf":     func(d *Disk) { d.Radius = math.Inf(1) },
+		"radius 1e15":     func(d *Disk) { d.Radius = 1e15 },
+		"radius over max": func(d *Disk) { d.Radius = MaxRadius * 1.01 },
+		"omega NaN":       func(d *Disk) { d.Omega = math.NaN() },
+		"omega -Inf":      func(d *Disk) { d.Omega = math.Inf(-1) },
+		"theta0 NaN":      func(d *Disk) { d.Theta0 = math.NaN() },
+		"center x Inf":    func(d *Disk) { d.Center.X = math.Inf(1) },
+		"center z NaN":    func(d *Disk) { d.Center.Z = math.NaN() },
+	} {
+		d := testDisk()
+		mutate(&d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	d := testDisk()
+	d.Radius = MaxRadius
+	if err := d.Validate(); err != nil {
+		t.Errorf("radius at the bound rejected: %v", err)
+	}
+}
