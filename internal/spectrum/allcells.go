@@ -387,7 +387,7 @@ func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int
 	vals := hs.vals[:n]
 	sc := e.getScratch()
 	e.fillUniformTrig(sc, 0, n, step)
-	e.synthRowR(terms, &hs.coeffs, sc, 1, sc.sinPhi[:n], sc.cosPhi[:n], vals, true)
+	e.coarseSynthRowR(terms, &hs.coeffs, sc.sinPhi[:n], sc.cosPhi[:n], vals)
 	e.putScratch(sc)
 	maxV := math.Inf(-1)
 	for _, v := range vals {
@@ -406,6 +406,24 @@ func (e *Evaluator) harmonicArgmaxR2D(terms termSlices, n int, step float64) int
 	idx := e.rescoreTopK(terms, cand, step, 0, 0, 0)
 	harmPool.Put(hs)
 	return idx
+}
+
+// coarseSynthRowR is synthRowR at γ = 0 with the coarse kernels, run on the
+// compute pool in cell chunks like the dense scan it replaces. Every cell's
+// value depends only on its own trig entry and the shared coefficients, so
+// out is bit-identical to one serial synthRowR call over the whole row at
+// any pool width (TestPooledCoarseSynthRowRBitExact).
+func (e *Evaluator) coarseSynthRowR(terms termSlices, hc *harmonicCoeffs, sinPhi, cosPhi, out []float64) {
+	j := e.getJob()
+	j.terms = terms
+	j.n = len(out)
+	j.chunk = chunkTarget
+	j.hc = hc
+	j.sinPhi = sinPhi
+	j.cosPhi = cosPhi
+	j.out = out
+	e.scanChunks(j)
+	e.putJob(j)
 }
 
 // fillAngleTrigExact fills sc.sinPhi/cosPhi with math.Sincos regardless of

@@ -364,6 +364,9 @@ func wrapToPiFast(x float64) float64 {
 //   - azCount > 0: 3D coarse argmax — chunks are exactly one polar row of
 //     azCount uniform candidates (φ_k = k·step, γ = polBase +
 //     (i/azCount)·polStep); winners land in bests.
+//   - hc != nil: coarse R synthesis row (harmonicArgmaxR2D) — chunks index
+//     cells of the caller's shared trig table sinPhi/cosPhi; synthRowR
+//     writes cells [lo, hi) at fixed gamma into out[lo:hi].
 //   - otherwise: 1D uniform argmax — candidate i is φ_i = i·step at fixed
 //     gamma; winners land in bests.
 type scanJob struct {
@@ -384,6 +387,8 @@ type scanJob struct {
 	azCount          int
 	polBase, polStep float64
 	gamma            float64
+	hc               *harmonicCoeffs
+	sinPhi, cosPhi   []float64
 }
 
 // reset clears slice references so a pooled job cannot retain caller
@@ -420,6 +425,8 @@ func (e *Evaluator) runChunk(j *scanJob, sc *Scratch, lo, hi int) {
 	case j.angles != nil:
 		e.fillAngleTrig(sc, j.angles[lo:hi])
 		e.evalRow(j.terms, sc, j.gamma, hi-lo, j.out[lo:hi])
+	case j.hc != nil:
+		e.synthRowR(j.terms, j.hc, sc, math.Cos(j.gamma), j.sinPhi[lo:hi], j.cosPhi[lo:hi], j.out[lo:hi], true)
 	case j.azCount > 0:
 		gamma := j.polBase + float64(lo/j.azCount)*j.polStep
 		e.fillUniformTrig(sc, 0, hi-lo, j.step)

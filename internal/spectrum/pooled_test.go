@@ -84,6 +84,54 @@ func TestPooledScanEquivalence(t *testing.T) {
 	}
 }
 
+// TestPooledCoarseSynthRowRBitExact pins the pooled harmonic-R coarse row:
+// coarseSynthRowR must write exactly the values of one serial synthRowR
+// call over the whole row, with the pool pinned to one worker (inline
+// path) and widened to four, in both trig modes and literal/robust
+// reference modes. The odd cell count leaves a partial final chunk.
+func TestPooledCoarseSynthRowRBitExact(t *testing.T) {
+	p := testParams()
+	snaps := synth(p, geom.V3(-2.0, 1.1, 0.5), 120, 0.8, 0, nil)
+	const n = 407
+	step := 2 * math.Pi / n
+	for _, literal := range []bool{false, true} {
+		for _, fast := range []bool{false, true} {
+			var opts []EvalOption
+			if fast {
+				opts = append(opts, WithFastTrig())
+			}
+			pp := p
+			pp.LiteralReference = literal
+			ev, err := NewEvaluator(snaps, pp, KindR, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := harmPool.Get().(*harmonicScratch)
+			foldTermsHarmonic(hs, ev.coarse, 1)
+			sc := ev.getScratch()
+			ev.fillUniformTrig(sc, 0, n, step)
+			sinPhi := append([]float64(nil), sc.sinPhi[:n]...)
+			cosPhi := append([]float64(nil), sc.cosPhi[:n]...)
+			want := make([]float64, n)
+			ev.synthRowR(ev.coarse, &hs.coeffs, sc, 1, sinPhi, cosPhi, want, true)
+			ev.putScratch(sc)
+			for _, width := range []int{1, 4} {
+				got := make([]float64, n)
+				withPoolWidth(t, width, func() {
+					ev.coarseSynthRowR(ev.coarse, &hs.coeffs, sinPhi, cosPhi, got)
+				})
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%s literal=%v width=%d: cell %d = %v, serial %v",
+							kindTag(KindR, fast), literal, width, k, got[k], want[k])
+					}
+				}
+			}
+			harmPool.Put(hs)
+		}
+	}
+}
+
 func kindTag(kind Kind, fast bool) string {
 	s := "Q"
 	if kind == KindR {
