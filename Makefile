@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet vet-strict bench bench-json bench-load bench-stream bench-sublin bench-nufft bench-compare run-fleet
+.PHONY: check build test race vet vet-strict bench bench-json bench-compare run-fleet
 
 .DEFAULT_GOAL := check
 
@@ -11,13 +11,16 @@ GO ?= go
 # two pinned-GOMAXPROCS passes re-run the compute-pool equivalence and
 # plan-cache tests at the scheduling extremes (single-threaded runtime vs
 # 4-way) to catch regressions that only show under a particular worker/CPU
-# ratio.
+# ratio. The wire benchmark (wirebench/) is its own module, so the root
+# `go test ./...` never builds it; it is vetted and tested last so a change
+# to an API it names fails here.
 check: build vet-strict
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache' ./internal/sched/ ./internal/spectrum/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSched|TestPooled|TestPlanCache' ./internal/sched/ ./internal/spectrum/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestAccumulator|TestStream' ./internal/spectrum/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestReroute|TestKill|TestDrain|TestHealth|TestRing' ./internal/coord/ ./internal/locsrv/
+	cd wirebench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -59,29 +62,6 @@ bench:
 # DenseLocateNUR/NUFFTLocateR, and the LoadLocate2DStream/ml estimator
 # A/B).
 bench-json:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
-
-# bench-load is bench-json under its serving-path name: the schema-8 report
-# is where the concurrent-load rows live.
-bench-load:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
-
-# bench-stream is bench-json under its streaming-path name: the schema-8
-# report is where the StreamLocate2D/LoadLocate2DStream rows live.
-bench-stream:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
-
-# bench-sublin is bench-json under its sub-linear-search name: the schema-8
-# report is where the SubLinLocate2D/3D rows (≥5x 2D floor), the
-# SubLinLocateR row (≥4x floor) and the AllCellsProfile rows (≥3x floor on
-# the 2D/Q pair) live.
-bench-sublin:
-	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
-
-# bench-nufft is bench-json under its non-uniform-grid name: the schema-8
-# report is where the DenseLocateNU2D/NUFFTLocate2D pair (≥3x floor on the
-# NUFFT row) and the DenseLocateNUR/NUFFTLocateR pair live.
-bench-nufft:
 	$(GO) run ./cmd/tagspin-bench -benchjson BENCH_8.json
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots and fails on

@@ -31,10 +31,11 @@ const allCellsMinSpeedup = 3.0
 
 // allCellsBenchRows measures the all-cells transform against its dense
 // baselines (schema 7). The SubLinLocateR pair is the KindR counterpart of
-// schema 6's Locate2D/SubLinLocate2D: coarse-only argmax (NoRefine), dense
-// toggles off versus the default-on harmonic route. The profile pairs time
+// schema 6's Locate2D/SubLinLocate2D: coarse-only argmax (NoRefine), the
+// Dense oracle versus the default harmonic route. The profile pairs time
 // the full-profile entry points: Profile2DInto / Profile3D (dense, exact
-// trig) versus Profile2DIntoOpt / Profile3DOpt (fold + synthesis), per kind.
+// trig) versus Profile2DSynthInto / Profile3DSynth (fold + synthesis), per
+// kind.
 // Each AllCells/SubLin row carries speedupVsBatch against the dense row
 // measured immediately before it.
 //
@@ -64,11 +65,7 @@ func allCellsBenchRows() ([]benchResult, error) {
 		return nil, err
 	}
 
-	denseOpts := spectrum.SearchOptions{
-		Refinements:  spectrum.NoRefine,
-		HarmonicEval: spectrum.ToggleOff,
-		Hierarchical: spectrum.ToggleOff,
-	}
+	denseOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine, Dense: true}
 	subOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 	angles := spectrum.UniformAngles(720)
 	az3 := spectrum.UniformAngles(180)
@@ -99,12 +96,12 @@ func allCellsBenchRows() ([]benchResult, error) {
 		{"R", spectrum.ProfileSlackR, evR},
 	} {
 		dense := pre.ev.Profile2D(angles)
-		synth := pre.ev.Profile2DOpt(angles, spectrum.SearchOptions{})
+		synth := pre.ev.Profile2DSynth(angles)
 		if err := checkProfile(pre.kind+"/2D", pre.slack, synth.Power, dense.Power); err != nil {
 			return nil, err
 		}
 		dense3 := pre.ev.Profile3D(az3, pol3)
-		synth3 := pre.ev.Profile3DOpt(az3, pol3, spectrum.SearchOptions{})
+		synth3 := pre.ev.Profile3DSynth(az3, pol3)
 		for i := range dense3.Power {
 			if err := checkProfile(pre.kind+"/3D", pre.slack, synth3.Power[i], dense3.Power[i]); err != nil {
 				return nil, err
@@ -138,11 +135,11 @@ func allCellsBenchRows() ([]benchResult, error) {
 	profSynth := func(ev *spectrum.Evaluator) func(b *testing.B) {
 		return func(b *testing.B) {
 			var prof spectrum.Profile
-			ev.Profile2DIntoOpt(&prof, angles, spectrum.SearchOptions{})
+			ev.Profile2DSynthInto(&prof, angles)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.Profile2DIntoOpt(&prof, angles, spectrum.SearchOptions{})
+				ev.Profile2DSynthInto(&prof, angles)
 			}
 		}
 	}
@@ -158,7 +155,7 @@ func allCellsBenchRows() ([]benchResult, error) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev.Profile3DOpt(az3, pol3, spectrum.SearchOptions{})
+				ev.Profile3DSynth(az3, pol3)
 			}
 		}
 	}

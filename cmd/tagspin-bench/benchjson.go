@@ -32,8 +32,8 @@ import (
 // subLinRMinSpeedup — and the full-profile pairs
 // DenseProfile2D/{Q,R} + AllCellsProfile2D/{Q,R} and
 // DenseProfile3D/{Q,R} + AllCellsProfile3D/{Q,R}, timing the dense profile
-// scans against the option-gated harmonic synthesis
-// (Profile2DIntoOpt/Profile3DOpt), the AllCells 2D/Q pair gated at
+// scans against the harmonic synthesis
+// (Profile2DSynthInto/Profile3DSynth), the AllCells 2D/Q pair gated at
 // allCellsMinSpeedup. Version 6 added the sub-linear coarse-scan rows —
 // Locate2D/SubLinLocate2D and Locate3D/SubLinLocate3D, coarse-only peak
 // searches pairing each dense grid scan with its harmonic/hierarchical

@@ -79,7 +79,7 @@ func nufftBenchRows() ([]benchResult, error) {
 	}
 	angles := nufftBenchAngles()
 
-	denseOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine, NUFFT: spectrum.ToggleOff}
+	denseOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine, Dense: true}
 	nufftOpts := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 
 	// Preflight 1: NUFFT argmax bit-identity against the dense scan, both
@@ -98,7 +98,7 @@ func nufftBenchRows() ([]benchResult, error) {
 	// Preflight 2: the spread Q profile within the exported slack.
 	var dense, spread spectrum.Profile
 	evQ.Profile2DInto(&dense, angles)
-	evQ.Profile2DIntoOpt(&spread, angles, spectrum.SearchOptions{})
+	evQ.Profile2DSynthInto(&spread, angles)
 	for k := range dense.Power {
 		if d := math.Abs(spread.Power[k] - dense.Power[k]); d > spectrum.ProfileSlackQ {
 			return nil, fmt.Errorf("nufft bench: Q profile cell %d off by %v (> %v)",

@@ -25,11 +25,11 @@ const subLinMinSpeedup = 5.0
 // (NoRefine) on a prebuilt KindQ evaluator, so the ratio isolates exactly
 // the grid scan the hierarchical/harmonic machinery replaces:
 //
-//   - Locate2D: the dense 720-cell azimuth scan (both toggles off).
-//   - SubLinLocate2D: the default-on harmonic evaluator (fold, synthesize,
+//   - Locate2D: the dense 720-cell azimuth scan (Dense: true).
+//   - SubLinLocate2D: the default harmonic evaluator (fold, synthesize,
 //     exact rescore), carrying speedupVsBatch against Locate2D.
-//   - Locate3D: the dense az × polar scan (toggles off).
-//   - SubLinLocate3D: the default-on hierarchical lattice scanner, carrying
+//   - Locate3D: the dense az × polar scan (Dense: true).
+//   - SubLinLocate3D: the default hierarchical lattice scanner, carrying
 //     speedupVsBatch against Locate3D.
 func subLinBenchRows() ([]benchResult, error) {
 	rng := rand.New(rand.NewSource(13))
@@ -48,11 +48,7 @@ func subLinBenchRows() ([]benchResult, error) {
 		return nil, err
 	}
 
-	dense2D := spectrum.SearchOptions{
-		Refinements:  spectrum.NoRefine,
-		HarmonicEval: spectrum.ToggleOff,
-		Hierarchical: spectrum.ToggleOff,
-	}
+	dense2D := spectrum.SearchOptions{Refinements: spectrum.NoRefine, Dense: true}
 	sub2D := spectrum.SearchOptions{Refinements: spectrum.NoRefine}
 	dense3D, sub3D := dense2D, sub2D
 

@@ -48,11 +48,9 @@ type Config struct {
 	// caller-supplied locator carries its own config.
 	FastSpectrum bool
 	// Search tunes the default locator's peak search (core.Config.Search):
-	// hierarchical scanning, the harmonic azimuth evaluator, the NUFFT
-	// synthesis route for non-uniform candidate grids, and grid steps. The
-	// zero value keeps the defaults (harmonic + hierarchical auto-on for Q
-	// spectra, NUFFT auto-on on the angle-grid entry points). Ignored when
-	// Locator is non-nil.
+	// grid steps, refinement rounds and the Dense oracle switch. The zero
+	// value keeps the accelerated routes (harmonic Q/R in 2D, hierarchical
+	// for 3D Q, NUFFT on angle grids). Ignored when Locator is non-nil.
 	Search spectrum.SearchOptions
 	// Collect gathers snapshots; nil means client.CollectRetry (the
 	// network client with transient-failure retries). Supplying Collect

@@ -486,9 +486,8 @@ func TestSearchOptionsPlumbing(t *testing.T) {
 		}
 	}
 	search := spectrum.SearchOptions{
-		CoarseStep:   geom.Radians(2),
-		Hierarchical: spectrum.ToggleOff,
-		HarmonicEval: spectrum.ToggleOff,
+		CoarseStep: geom.Radians(2),
+		Dense:      true,
 	}
 	srv, err := locsrv.New(locsrv.Config{
 		Registry: reg,

@@ -120,17 +120,16 @@ func TestAccumulatorFallbackEngagesMidSession(t *testing.T) {
 	}
 }
 
-// TestAccumulatorHarmonicStreaming pins the opt-in O(harmonics) streaming
-// fold: with HarmonicEval forced on, the accumulator allocates no per-cell
-// Q sums at all, yet FindPeak2D still returns the batch search's bits — the
-// finalize synthesizes, shortlists within 2·harmonicSlack, and
+// TestAccumulatorHarmonicStreaming pins the streamed KindQ harmonic
+// finalize: FindPeak2D returns the batch search's bits — the finalize
+// synthesizes, shortlists within 2·harmonicSlack, and
 // exact-rescores exactly like the batch harmonic pass — and CoarseProfile
 // stays within the documented harmonicSlack of the batch profile.
 func TestAccumulatorHarmonicStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	p := testParams()
-	so := SearchOptions{HarmonicEval: ToggleOn}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
+	so := SearchOptions{}
+	dense := SearchOptions{Dense: true}
 	for trial := 0; trial < 20; trial++ {
 		snaps := synth(p, randReader(rng, true), 8+rng.Intn(coarseTermLimit-7), rng.Float64()*2, rng.Float64()*0.15, rng)
 		a, err := NewAccumulator2D(p, KindQ, so)

@@ -299,25 +299,6 @@ func TestPooledAccumulatorEquivalence(t *testing.T) {
 	}
 }
 
-// TestTopKIndices pins the shortlist helper: largest k values, ascending
-// index order, lowest index kept on ties.
-func TestTopKIndices(t *testing.T) {
-	vals := []float64{3, 9, 1, 9, 7, 2, 8}
-	got := topKIndices(vals, 3)
-	want := []int{1, 3, 6} // both 9s and the 8
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if n := len(topKIndices(vals, 100)); n != len(vals) {
-		t.Fatalf("overlong k returned %d indices", n)
-	}
-}
-
 // TestAccumulatorErrors covers the misuse surface: too few snapshots, bad
 // snapshots, and 2D/3D cross-calls.
 func TestAccumulatorErrors(t *testing.T) {

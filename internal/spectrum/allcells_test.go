@@ -16,7 +16,7 @@ import (
 // construction makes this an equality claim, not a tolerance claim.
 func TestRHarmonicArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
+	dense := SearchOptions{Dense: true}
 	trials := 500
 	if testing.Short() {
 		trials = 60
@@ -44,15 +44,14 @@ func TestRHarmonicArgmax(t *testing.T) {
 }
 
 // TestAccumulatorHarmonicRBoundary mirrors the coarseTermLimit seam walk for
-// the harmonic streaming fold with every accumulator mode forced through
-// HarmonicEval: under and at the limit the finalize synthesizes from the
-// streamed coefficients (and, for plain KindR, allocates no per-cell arrays
-// at all); past it the batch fallback engages — and every session size must
+// the harmonic streaming finalize in every accumulator mode: under and at
+// the limit the finalize synthesizes from the streamed term log; past it
+// the batch fallback engages — and every session size must
 // return the batch search's bits, which in turn are the dense scan's bits.
 func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 	p := testParams()
 	counts := []int{coarseTermLimit - 1, coarseTermLimit, coarseTermLimit + 1, coarseTermLimit + 16}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
+	dense := SearchOptions{Dense: true}
 	for i, tc := range accumKinds {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(70 + int64(i)))
@@ -60,7 +59,7 @@ func TestAccumulatorHarmonicRBoundary(t *testing.T) {
 				snaps := synth(p, geom.V3(-2.2, 1.3, 0), n, 0.8, 0.05, rng)
 				pp := p
 				pp.LiteralReference = tc.literal
-				so := SearchOptions{HarmonicEval: ToggleOn}
+				so := SearchOptions{}
 				a, err := NewAccumulator2D(pp, tc.kind, so)
 				if err != nil {
 					t.Fatal(err)
@@ -117,7 +116,7 @@ func TestProfile2DOptSlack(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got := ev.Profile2DOpt(angles, SearchOptions{})
+				got := ev.Profile2DSynth(angles)
 				for k := range got.Power {
 					if d := math.Abs(got.Power[k] - want.Power[k]); d > slack {
 						t.Fatalf("trial %d %v fast=%v cell %d: synthesized %v vs exact %v (Δ=%v > %v)",
@@ -151,45 +150,12 @@ func TestProfile3DOptSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := ev.Profile3D(az, pol)
-		got := ev.Profile3DOpt(az, pol, SearchOptions{})
+		got := ev.Profile3DSynth(az, pol)
 		for i := range want.Power {
 			for j := range want.Power[i] {
 				if d := math.Abs(got.Power[i][j] - want.Power[i][j]); d > slack {
 					t.Fatalf("%v cell (%d,%d): synthesized %v vs exact %v (Δ=%v > %v)",
 						kind, i, j, got.Power[i][j], want.Power[i][j], d, slack)
-				}
-			}
-		}
-	}
-}
-
-// TestProfileOptToggleOff pins the escape hatch: with HarmonicEval forced
-// off, the Opt entry points must delegate to the dense scans bit for bit.
-func TestProfileOptToggleOff(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	p := testParams()
-	angles := UniformAngles(240)
-	pol := []float64{-0.5, 0, 0.5}
-	snaps := synth(p, geom.V3(1.4, -1.9, 0), 40, 1.0, 0.05, rng)
-	off := SearchOptions{HarmonicEval: ToggleOff}
-	for _, kind := range []Kind{KindQ, KindR} {
-		ev, err := NewEvaluator(snaps, p, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want2 := ev.Profile2D(angles)
-		got2 := ev.Profile2DOpt(angles, off)
-		for k := range want2.Power {
-			if got2.Power[k] != want2.Power[k] {
-				t.Fatalf("%v cell %d: ToggleOff profile diverged from dense", kind, k)
-			}
-		}
-		want3 := ev.Profile3D(angles[:60], pol)
-		got3 := ev.Profile3DOpt(angles[:60], pol, off)
-		for i := range want3.Power {
-			for j := range want3.Power[i] {
-				if got3.Power[i][j] != want3.Power[i][j] {
-					t.Fatalf("%v cell (%d,%d): ToggleOff 3D profile diverged from dense", kind, i, j)
 				}
 			}
 		}
@@ -239,10 +205,9 @@ func TestSearchStatsCounters(t *testing.T) {
 	ResetSearchStats()
 	FindPeak2DEval(evQ, SearchOptions{})
 	FindPeak2DEval(evR, SearchOptions{})
-	FindPeak2DEval(evR, SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff})
-	evR.Profile2DOpt(UniformAngles(64), SearchOptions{})
-	evR.Profile2DOpt(UniformAngles(64), SearchOptions{HarmonicEval: ToggleOff})
-	a, err := NewAccumulator2D(p, KindR, SearchOptions{HarmonicEval: ToggleOn})
+	FindPeak2DEval(evR, SearchOptions{Dense: true})
+	evR.Profile2DSynth(UniformAngles(64))
+	a, err := NewAccumulator2D(p, KindR, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +217,7 @@ func TestSearchStatsCounters(t *testing.T) {
 	}
 	st := SearchStatsSnapshot()
 	if st.HarmonicQ2D == 0 || st.HarmonicR2D == 0 ||
-		st.Dense2D == 0 || st.ProfileSynth == 0 || st.ProfileDense == 0 {
+		st.Dense2D == 0 || st.ProfileSynth == 0 {
 		t.Fatalf("missing route counts: %+v", st)
 	}
 }

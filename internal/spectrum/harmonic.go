@@ -219,25 +219,17 @@ var harmPool = sync.Pool{New: func() any { return new(harmonicScratch) }}
 // foldTermsHarmonic folds a whole term set (at fixed γ) into hs.coeffs,
 // computing each term's Bessel table as it goes.
 func foldTermsHarmonic(hs *harmonicScratch, terms termSlices, cosGamma float64) {
-	foldTermsInto(&hs.coeffs, &hs.bess, terms, cosGamma)
-}
-
-// foldTermsInto is foldTermsHarmonic targeting caller-owned coefficient and
-// Bessel buffers: the hierarchical scanner's synthesized basin evaluation
-// folds one coefficient set per polar row (hier.go) and cannot route them
-// all through a single harmonicScratch.
-func foldTermsInto(hc *harmonicCoeffs, bessBuf *[]float64, terms termSlices, cosGamma float64) {
 	maxM := harmonicsNeeded(terms.maxScale() * math.Abs(cosGamma))
-	hc.reset(maxM)
-	if cap(*bessBuf) < maxM+1 {
-		*bessBuf = make([]float64, maxM+1)
+	hs.coeffs.reset(maxM)
+	if cap(hs.bess) < maxM+1 {
+		hs.bess = make([]float64, maxM+1)
 	}
 	for i := 0; i < terms.n(); i++ {
 		w := terms.scale[i] * cosGamma
 		need := harmonicsNeeded(w)
-		bess := (*bessBuf)[:need+1]
+		bess := hs.bess[:need+1]
 		besselJArray(w, bess)
-		hc.foldTerm(terms.relPhase[i], terms.cosA[i], terms.sinA[i], bess)
+		hs.coeffs.foldTerm(terms.relPhase[i], terms.cosA[i], terms.sinA[i], bess)
 	}
 }
 
@@ -272,7 +264,7 @@ func (e *Evaluator) harmonicArgmax2D(terms termSlices, n int, step float64) int 
 		}
 	}
 	hs.cand = cand
-	idx := e.rescoreTopK(terms, cand, step, 0, 0, 0)
+	idx := e.rescoreTopK(terms, cand, step)
 	harmPool.Put(hs)
 	return idx
 }

@@ -70,9 +70,9 @@ func TestHarmonicSynthesisMatchesExact(t *testing.T) {
 }
 
 // TestHarmonicArgmaxMatchesDense pins the exact-path contract that lets the
-// harmonic route default on: the full 2D search with HarmonicEval on must
-// return the dense scan's answer bit for bit, because the synthesized
-// shortlist is rescored with the exact per-cell formula.
+// harmonic route serve KindQ: the default full 2D search must return the
+// dense scan's answer bit for bit, because the synthesized shortlist is
+// rescored with the exact per-cell formula.
 func TestHarmonicArgmaxMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := testParams()
@@ -86,10 +86,8 @@ func TestHarmonicArgmaxMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
-		harm := SearchOptions{HarmonicEval: ToggleOn}
-		wantAz, wantPow := FindPeak2DEval(ev, dense)
-		gotAz, gotPow := FindPeak2DEval(ev, harm)
+		wantAz, wantPow := FindPeak2DEval(ev, SearchOptions{Dense: true})
+		gotAz, gotPow := FindPeak2DEval(ev, SearchOptions{})
 		if gotAz != wantAz || gotPow != wantPow {
 			t.Fatalf("trial %d: harmonic (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
 		}
@@ -97,8 +95,8 @@ func TestHarmonicArgmaxMatchesDense(t *testing.T) {
 }
 
 // TestHarmonicDefaultOn pins the routing: zero-valued SearchOptions on a
-// KindQ evaluator take the harmonic path and still match the forced-dense
-// answer bit for bit, while KindR ignores the toggle entirely.
+// KindQ evaluator take the harmonic path and still match the Dense oracle
+// bit for bit, and so do KindR searches on their harmonic-R path.
 func TestHarmonicDefaultOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	p := testParams()
@@ -107,7 +105,7 @@ func TestHarmonicDefaultOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	denseAz, densePow := FindPeak2DEval(ev, SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff})
+	denseAz, densePow := FindPeak2DEval(ev, SearchOptions{Dense: true})
 	defAz, defPow := FindPeak2DEval(ev, SearchOptions{})
 	if defAz != denseAz || defPow != densePow {
 		t.Fatalf("default (%v, %v) != dense (%v, %v)", defAz, defPow, denseAz, densePow)
@@ -116,9 +114,9 @@ func TestHarmonicDefaultOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rDense, rDensePow := FindPeak2DEval(evR, SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff})
-	rOn, rOnPow := FindPeak2DEval(evR, SearchOptions{HarmonicEval: ToggleOn})
-	if rOn != rDense || rOnPow != rDensePow {
-		t.Fatalf("KindR with HarmonicEval on (%v, %v) != dense (%v, %v)", rOn, rOnPow, rDense, rDensePow)
+	rDense, rDensePow := FindPeak2DEval(evR, SearchOptions{Dense: true})
+	rDef, rDefPow := FindPeak2DEval(evR, SearchOptions{})
+	if rDef != rDense || rDefPow != rDensePow {
+		t.Fatalf("KindR default (%v, %v) != dense (%v, %v)", rDef, rDefPow, rDense, rDensePow)
 	}
 }

@@ -19,91 +19,39 @@ func randReader(rng *rand.Rand, flat bool) geom.Vec3 {
 	return geom.V3(r*math.Cos(az), r*math.Sin(az), z)
 }
 
-// TestPeakCaptureBound is the tentpole property test: across 500 randomized
-// sessions spanning 2D and 3D grids and both profile kinds, the
-// hierarchical search's refined peak must land within one coarse cell of
-// the full-scan batch peak. For KindQ the claim is stronger and exact —
-// the Lipschitz retention threshold provably keeps the dense argmax cell in
-// the evaluated set at every level (DESIGN.md §11 derives the bound), so
-// the refined result is bit-identical to the dense path. KindR scores the
-// hierarchy with Q and rescores the top cells with R, so it gets a
-// within-one-cell contract rather than bit identity.
+// TestPeakCaptureBound is the tentpole property test: across randomized 3D
+// KindQ sessions the hierarchical search's refined peak must equal the
+// Dense oracle's bit for bit — the Lipschitz retention threshold provably
+// keeps the dense argmax cell in the evaluated set at every level
+// (DESIGN.md §11 derives the bound).
 func TestPeakCaptureBound(t *testing.T) {
 	p := testParams()
-	opts := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOn}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
-
-	t.Run("2D", func(t *testing.T) {
-		for _, kind := range []Kind{KindQ, KindR} {
-			name := "Q"
-			if kind == KindR {
-				name = "R"
-			}
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(100 + int64(kind)))
-				for trial := 0; trial < 210; trial++ {
-					snaps := synth(p, randReader(rng, true), 20+rng.Intn(120), rng.Float64()*2, rng.Float64()*0.2, rng)
-					ev, err := NewEvaluator(snaps, p, kind)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantAz, wantPow := FindPeak2DEval(ev, dense)
-					gotAz, gotPow := FindPeak2DEval(ev, opts)
-					if kind == KindQ {
-						if gotAz != wantAz || gotPow != wantPow {
-							t.Fatalf("trial %d: hierarchical (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
-						}
-						continue
-					}
-					if d := geom.AngleDistance(gotAz, wantAz); d > opts.coarseStep() {
-						t.Fatalf("trial %d: hierarchical R peak %v is %v rad from dense peak %v (> one coarse cell %v)",
-							trial, gotAz, d, wantAz, opts.coarseStep())
-					}
-				}
-			})
-		}
-	})
+	dense := SearchOptions{Dense: true}
 
 	t.Run("3D", func(t *testing.T) {
-		for _, kind := range []Kind{KindQ, KindR} {
-			name := "Q"
-			if kind == KindR {
-				name = "R"
-			}
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(200 + int64(kind)))
-				for trial := 0; trial < 40; trial++ {
-					snaps := synth3D(p, randReader(rng, false), 24+rng.Intn(40), rng.Float64()*0.15, rng)
-					ev, err := NewEvaluator(snaps, p, kind)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := FindPeak3DEval(ev, dense)
-					got := FindPeak3DEval(ev, opts)
-					if kind == KindQ {
-						if got != want {
-							t.Fatalf("trial %d: hierarchical %+v != dense %+v", trial, got, want)
-						}
-						continue
-					}
-					azStep := opts.coarseStep() * 4
-					if d := geom.AngleDistance(got.Azimuth, want.Azimuth); d > azStep {
-						t.Fatalf("trial %d: hierarchical R azimuth %v is %v rad from dense %v (> one coarse cell %v)",
-							trial, got.Azimuth, d, want.Azimuth, azStep)
-					}
-					if d := math.Abs(got.Polar - want.Polar); d > opts.coarsePolarStep() {
-						t.Fatalf("trial %d: hierarchical R polar %v is %v rad from dense %v (> one coarse cell %v)",
-							trial, got.Polar, d, want.Polar, opts.coarsePolarStep())
-					}
+		t.Run("Q", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(200 + int64(KindQ)))
+			for trial := 0; trial < 40; trial++ {
+				snaps := synth3D(p, randReader(rng, false), 24+rng.Intn(40), rng.Float64()*0.15, rng)
+				ev, err := NewEvaluator(snaps, p, KindQ)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				want := FindPeak3DEval(ev, dense)
+				got := FindPeak3DEval(ev, SearchOptions{})
+				if got != want {
+					t.Fatalf("trial %d: hierarchical %+v != dense %+v", trial, got, want)
+				}
+			}
+		})
 	})
 }
 
 // TestHierarchicalDefaultOn3D pins the routing: zero-valued SearchOptions
 // on a KindQ evaluator take the hierarchical path for the 3D coarse scan
-// and still match the forced-dense answer bit for bit.
+// and still match the Dense oracle bit for bit — on the default grid and
+// on a single polar row (CoarsePolarStep above π), the scanner's
+// azimuth-only lattice.
 func TestHierarchicalDefaultOn3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	p := testParams()
@@ -112,10 +60,16 @@ func TestHierarchicalDefaultOn3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := FindPeak3DEval(ev, SearchOptions{Hierarchical: ToggleOff})
-	got := FindPeak3DEval(ev, SearchOptions{})
-	if got != want {
-		t.Fatalf("default %+v != dense %+v", got, want)
+	for _, polStep := range []float64{0, 4} {
+		ResetSearchStats()
+		got := FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: polStep})
+		if st := SearchStatsSnapshot(); st.Hier3D != 1 {
+			t.Fatalf("polar step %v: default 3D search skipped the hierarchical route: %+v", polStep, st)
+		}
+		want := FindPeak3DEval(ev, SearchOptions{CoarsePolarStep: polStep, Dense: true})
+		if got != want {
+			t.Fatalf("polar step %v: default %+v != dense %+v", polStep, got, want)
+		}
 	}
 }
 

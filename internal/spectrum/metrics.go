@@ -25,16 +25,13 @@ var ErrNonUniformAngles = errors.New("spectrum: profile angles are not uniformly
 type searchCountersT struct {
 	harmonicQ2D  atomic.Uint64
 	harmonicR2D  atomic.Uint64
-	hier2D       atomic.Uint64
 	hier3D       atomic.Uint64
 	dense2D      atomic.Uint64
 	dense3D      atomic.Uint64
 	profileSynth atomic.Uint64
-	profileDense atomic.Uint64
 	nufft2D      atomic.Uint64
 	nufftR2D     atomic.Uint64
 	denseNU2D    atomic.Uint64
-	hierSynth    atomic.Uint64
 	nufftProfile atomic.Uint64
 }
 
@@ -42,21 +39,18 @@ var searchCounters searchCountersT
 
 // SearchStats is a point-in-time snapshot of the coarse-search routing
 // counters. The 2D/3D argmax counters sum to the number of coarse scans;
-// the Profile counters count option-gated full-profile calls
-// (Profile2DIntoOpt/Profile3DOpt) by route.
+// the Profile counters count synthesized full-profile calls
+// (Profile2DSynthInto/Profile3DSynth) by route.
 type SearchStats struct {
 	HarmonicQ2D  uint64 // 2D argmax via Q harmonic synthesis
 	HarmonicR2D  uint64 // 2D argmax via the two-pass R synthesis
-	Hier2D       uint64 // 2D argmax via the hierarchical scanner
 	Hier3D       uint64 // 3D argmax via the hierarchical scanner
 	Dense2D      uint64 // 2D argmax via the dense scan
 	Dense3D      uint64 // 3D argmax via the dense scan
 	ProfileSynth uint64 // full profiles synthesized all-cells
-	ProfileDense uint64 // full profiles from Opt entry points scanned densely
 	NUFFT2D      uint64 // angle-grid argmax via the Q NUFFT synthesis
 	NUFFTR2D     uint64 // angle-grid argmax via the R NUFFT replay
 	DenseNU2D    uint64 // angle-grid argmax via the dense scan
-	HierSynth    uint64 // hierarchical scans with synthesized basin evals
 	NUFFTProfile uint64 // full Q profiles spread through the NUFFT kernel
 
 	// StreamSynth always reads 0: streaming Accumulator finalizes run the
@@ -64,6 +58,11 @@ type SearchStats struct {
 	// readers of the exported struct (the wire benchmark, dashboards) name
 	// it.
 	StreamSynth uint64
+	// HierSynth always reads 0: the hierarchical scanner scores every
+	// basin cell with the exact per-cell formula. The field stays because
+	// readers of the exported struct (the wire benchmark, dashboards) name
+	// it.
+	HierSynth uint64
 }
 
 // SearchStatsSnapshot returns the current routing counters.
@@ -71,16 +70,13 @@ func SearchStatsSnapshot() SearchStats {
 	return SearchStats{
 		HarmonicQ2D:  searchCounters.harmonicQ2D.Load(),
 		HarmonicR2D:  searchCounters.harmonicR2D.Load(),
-		Hier2D:       searchCounters.hier2D.Load(),
 		Hier3D:       searchCounters.hier3D.Load(),
 		Dense2D:      searchCounters.dense2D.Load(),
 		Dense3D:      searchCounters.dense3D.Load(),
 		ProfileSynth: searchCounters.profileSynth.Load(),
-		ProfileDense: searchCounters.profileDense.Load(),
 		NUFFT2D:      searchCounters.nufft2D.Load(),
 		NUFFTR2D:     searchCounters.nufftR2D.Load(),
 		DenseNU2D:    searchCounters.denseNU2D.Load(),
-		HierSynth:    searchCounters.hierSynth.Load(),
 		NUFFTProfile: searchCounters.nufftProfile.Load(),
 	}
 }
@@ -89,16 +85,13 @@ func SearchStatsSnapshot() SearchStats {
 func ResetSearchStats() {
 	searchCounters.harmonicQ2D.Store(0)
 	searchCounters.harmonicR2D.Store(0)
-	searchCounters.hier2D.Store(0)
 	searchCounters.hier3D.Store(0)
 	searchCounters.dense2D.Store(0)
 	searchCounters.dense3D.Store(0)
 	searchCounters.profileSynth.Store(0)
-	searchCounters.profileDense.Store(0)
 	searchCounters.nufft2D.Store(0)
 	searchCounters.nufftR2D.Store(0)
 	searchCounters.denseNU2D.Store(0)
-	searchCounters.hierSynth.Store(0)
 	searchCounters.nufftProfile.Store(0)
 }
 

@@ -138,7 +138,7 @@ func TestNUFFTArgmaxBitIdentity(t *testing.T) {
 				n := grids[trial%len(grids)]
 				angles := jitteredAngles(n, 0.35, rng)
 				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{NUFFT: ToggleOff})
+				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{Dense: true})
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("trial %d, %d cells: NUFFT (%v, %v) != dense (%v, %v)",
 						trial, n, gotAz, gotPow, wantAz, wantPow)
@@ -168,7 +168,7 @@ func TestNUFFTJitteredOmegaSession(t *testing.T) {
 				}
 				angles := jitteredAngles(720, 0.35, rng)
 				gotAz, gotPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{})
-				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{NUFFT: ToggleOff})
+				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, SearchOptions{Dense: true})
 				if gotAz != wantAz || gotPow != wantPow {
 					t.Fatalf("trial %d: NUFFT (%v, %v) != dense (%v, %v)",
 						trial, gotAz, gotPow, wantAz, wantPow)
@@ -178,8 +178,8 @@ func TestNUFFTJitteredOmegaSession(t *testing.T) {
 	}
 }
 
-// TestAnglesRoutingCounters drives every (kind × toggle) combination of the
-// angle-grid entry points and checks exactly one routing counter moves —
+// TestAnglesRoutingCounters drives the angle-grid entry points per kind and
+// with the Dense oracle, and checks exactly one routing counter moves —
 // the expvar surface operators use to confirm which path served traffic.
 func TestAnglesRoutingCounters(t *testing.T) {
 	p := testParams()
@@ -193,11 +193,8 @@ func TestAnglesRoutingCounters(t *testing.T) {
 		pick func(SearchStats) uint64
 	}{
 		{"Q-auto", KindQ, SearchOptions{}, func(s SearchStats) uint64 { return s.NUFFT2D }},
-		{"Q-on", KindQ, SearchOptions{NUFFT: ToggleOn}, func(s SearchStats) uint64 { return s.NUFFT2D }},
-		{"Q-off", KindQ, SearchOptions{NUFFT: ToggleOff}, func(s SearchStats) uint64 { return s.DenseNU2D }},
 		{"R-auto", KindR, SearchOptions{}, func(s SearchStats) uint64 { return s.NUFFTR2D }},
-		{"R-on", KindR, SearchOptions{NUFFT: ToggleOn}, func(s SearchStats) uint64 { return s.NUFFTR2D }},
-		{"R-off", KindR, SearchOptions{NUFFT: ToggleOff}, func(s SearchStats) uint64 { return s.DenseNU2D }},
+		{"R-off", KindR, SearchOptions{Dense: true}, func(s SearchStats) uint64 { return s.DenseNU2D }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,14 +220,12 @@ func TestAnglesRoutingCounters(t *testing.T) {
 		cases := []struct {
 			name   string
 			kind   Kind
-			opts   SearchOptions
 			angles []float64
 			want   uint64
 		}{
-			{"Q-auto-large", KindQ, SearchOptions{}, angles, 1},
-			{"Q-off", KindQ, SearchOptions{NUFFT: ToggleOff}, angles, 0},
-			{"Q-small", KindQ, SearchOptions{}, small, 0},
-			{"R-auto-large", KindR, SearchOptions{}, angles, 0},
+			{"Q-auto-large", KindQ, angles, 1},
+			{"Q-small", KindQ, small, 0},
+			{"R-auto-large", KindR, angles, 0},
 		}
 		for _, tc := range cases {
 			ev, err := NewEvaluator(snaps, p, tc.kind)
@@ -238,98 +233,13 @@ func TestAnglesRoutingCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			ResetSearchStats()
-			ev.Profile2DIntoOpt(&prof, tc.angles, tc.opts)
+			ev.Profile2DSynthInto(&prof, tc.angles)
 			if got := SearchStatsSnapshot().NUFFTProfile; got != tc.want {
 				t.Fatalf("%s: NUFFTProfile = %d, want %d", tc.name, got, tc.want)
 			}
 		}
 	})
 
-	t.Run("hier-synth", func(t *testing.T) {
-		ev, err := NewEvaluator(snaps, p, KindQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hier := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOn}
-		ResetSearchStats()
-		FindPeak2DEval(ev, hier)
-		if st := SearchStatsSnapshot(); st.HierSynth != 0 {
-			t.Fatalf("HierSynth moved without NUFFT: On: %+v", st)
-		}
-		hier.NUFFT = ToggleOn
-		ResetSearchStats()
-		FindPeak2DEval(ev, hier)
-		st := SearchStatsSnapshot()
-		if st.Hier2D != 1 {
-			t.Fatalf("expected the hierarchical route, snapshot %+v", st)
-		}
-		if st.HierSynth != 1 {
-			t.Fatalf("expected synthesized basin evals, snapshot %+v", st)
-		}
-	})
-}
-
-// TestHierSynthBitIdentity pins the widened capture bound: hierarchical
-// scans with synthesized basin evaluation (NUFFT: On) must return the dense
-// scan's KindQ peak bit for bit in 2D and 3D; KindR inherits the rescore
-// route's within-one-cell contract.
-func TestHierSynthBitIdentity(t *testing.T) {
-	p := testParams()
-	synthOpts := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOn, NUFFT: ToggleOn}
-	dense := SearchOptions{HarmonicEval: ToggleOff, Hierarchical: ToggleOff}
-
-	t.Run("2D-Q", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(540))
-		for trial := 0; trial < 80; trial++ {
-			snaps := synth(p, randReader(rng, true), 20+rng.Intn(120), rng.Float64()*2, rng.Float64()*0.2, rng)
-			ev, err := NewEvaluator(snaps, p, KindQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantAz, wantPow := FindPeak2DEval(ev, dense)
-			gotAz, gotPow := FindPeak2DEval(ev, synthOpts)
-			if gotAz != wantAz || gotPow != wantPow {
-				t.Fatalf("trial %d: synth-hier (%v, %v) != dense (%v, %v)", trial, gotAz, gotPow, wantAz, wantPow)
-			}
-		}
-	})
-
-	t.Run("2D-R", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(541))
-		for trial := 0; trial < 40; trial++ {
-			snaps := synth(p, randReader(rng, true), 20+rng.Intn(120), rng.Float64()*2, rng.Float64()*0.2, rng)
-			ev, err := NewEvaluator(snaps, p, KindR)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantAz, _ := FindPeak2DEval(ev, dense)
-			gotAz, _ := FindPeak2DEval(ev, synthOpts)
-			if d := geom.AngleDistance(gotAz, wantAz); d > synthOpts.coarseStep() {
-				t.Fatalf("trial %d: synth-hier R peak %v is %v rad from dense %v", trial, gotAz, d, wantAz)
-			}
-		}
-	})
-
-	t.Run("3D-Q", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(542))
-		so := SearchOptions{CoarsePolarStep: geom.Radians(2)}
-		for trial := 0; trial < 15; trial++ {
-			snaps := synth3D(p, randReader(rng, false), 24+rng.Intn(60), rng.Float64()*0.15, rng)
-			ev, err := NewEvaluator(snaps, p, KindQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := dense
-			d.CoarsePolarStep = so.CoarsePolarStep
-			s := synthOpts
-			s.CoarsePolarStep = so.CoarsePolarStep
-			want := FindPeak3DEval(ev, d)
-			got := FindPeak3DEval(ev, s)
-			if got != want {
-				t.Fatalf("trial %d: synth-hier %+v != dense %+v", trial, got, want)
-			}
-		}
-	})
 }
 
 // TestAccumulatorAnglesBitIdentity walks the streamed angle-grid finalize
@@ -344,30 +254,28 @@ func TestAccumulatorAnglesBitIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(550 + int64(i)))
 			angles := jitteredAngles(720, 0.35, rng)
-			for _, harmonic := range []Toggle{ToggleAuto, ToggleOn} {
-				for _, n := range counts {
-					snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
-					pp := p
-					pp.LiteralReference = tc.literal
-					so := SearchOptions{HarmonicEval: harmonic}
-					a, err := NewAccumulator2DAngles(pp, tc.kind, angles, so)
-					if err != nil {
-						t.Fatal(err)
-					}
-					feedAccumulator(t, a, snaps)
-					gotAz, gotPow, err := a.FindPeak2D()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ev, err := NewEvaluator(snaps, pp, tc.kind)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, so)
-					if gotAz != wantAz || gotPow != wantPow {
-						t.Fatalf("%d snapshots, harmonic %v: streamed (%v, %v) != batch (%v, %v)",
-							n, harmonic, gotAz, gotPow, wantAz, wantPow)
-					}
+			for _, n := range counts {
+				snaps := synth(p, randReader(rng, true), n, 0.8, 0.05, rng)
+				pp := p
+				pp.LiteralReference = tc.literal
+				so := SearchOptions{}
+				a, err := NewAccumulator2DAngles(pp, tc.kind, angles, so)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedAccumulator(t, a, snaps)
+				gotAz, gotPow, err := a.FindPeak2D()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev, err := NewEvaluator(snaps, pp, tc.kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantAz, wantPow := FindPeak2DAnglesEval(ev, angles, so)
+				if gotAz != wantAz || gotPow != wantPow {
+					t.Fatalf("%d snapshots: streamed (%v, %v) != batch (%v, %v)",
+						n, gotAz, gotPow, wantAz, wantPow)
 				}
 			}
 		})

@@ -3,7 +3,6 @@ package spectrum
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/tagspin/tagspin/internal/geom"
 	"github.com/tagspin/tagspin/internal/phase"
@@ -14,34 +13,6 @@ import (
 // Any negative Refinements value means the same thing; the zero value keeps
 // meaning "default rounds", so existing callers are unaffected.
 const NoRefine = -1
-
-// Toggle is a tri-state switch for the sub-linear search features: the
-// zero value picks the kind-dependent default, so existing zero-valued
-// SearchOptions keep working when a feature becomes default-on.
-type Toggle int8
-
-const (
-	// ToggleAuto defers to the per-feature, per-kind default (e.g. the
-	// harmonic evaluator defaults on for both kinds, the hierarchical
-	// scanner only for KindQ — each SearchOptions field documents its own
-	// resolution).
-	ToggleAuto Toggle = 0
-	// ToggleOn forces the feature on regardless of profile kind.
-	ToggleOn Toggle = 1
-	// ToggleOff forces the feature off.
-	ToggleOff Toggle = -1
-)
-
-// enabled resolves the tri-state against the kind-dependent default.
-func (t Toggle) enabled(auto bool) bool {
-	switch t {
-	case ToggleOn:
-		return true
-	case ToggleOff:
-		return false
-	}
-	return auto
-}
 
 // SearchOptions tunes the coarse-to-fine peak search.
 type SearchOptions struct {
@@ -55,34 +26,12 @@ type SearchOptions struct {
 	// from a 0.5° start); NoRefine (or any negative value) disables
 	// refinement entirely, returning the raw coarse-grid argmax.
 	Refinements int
-	// HarmonicEval selects the FFT-style harmonic evaluator (harmonic.go,
-	// allcells.go) for 2D azimuth coarse scans: O(snapshots×H + cells×H)
-	// coefficient work instead of O(cells×snapshots) trig, returning
-	// exactly the dense scan's argmax cell (the synthesized shortlist is
-	// rescored with the exact per-cell formula). Auto means on for both
-	// kinds — KindQ synthesizes the phasor magnitude directly, KindR runs
-	// the two-pass all-cells transform (the weights' inputs are
-	// bandlimited even though R itself is not; see allcells.go). A KindR
-	// scan with Hierarchical: On keeps the lattice scanner.
-	HarmonicEval Toggle
-	// Hierarchical selects the Lipschitz-bounded coarse-to-fine lattice
-	// scanner (hier.go) for coarse grid scans — 3D always, 2D when the
-	// harmonic evaluator is off. Auto means on for KindQ (where the
-	// captured argmax is exactly the dense scan's cell) and off for KindR
-	// (where enabling it scores with Q and rescores the top hierRescoreK
-	// cells with R).
-	Hierarchical Toggle
-	// NUFFT selects the type-2 NUFFT synthesis route (nufft.go) for the
-	// non-uniform-grid entry points — FindPeak2DAngles, Profile2DInto/
-	// Profile3D Q synthesis on ≥nufftMinCells grids: fold once, synthesize
-	// on an oversampled uniform grid, spread to the requested cells through
-	// a truncated Gaussian kernel. Auto means on for those entry points (argmaxes stay exact
-	// via shortlist-then-rescore; synthesized profile values carry
-	// ≤nufftSlackQ error) and off for the hierarchical scanner's basin
-	// evaluation, which only ToggleOn switches to per-cell harmonic
-	// synthesis (synthAt). ToggleOff forces the dense per-cell scan
-	// everywhere the grid is non-uniform.
-	NUFFT Toggle
+	// Dense scores every coarse cell with the exact per-cell formula,
+	// bypassing every accelerated route. It is the oracle each accelerated
+	// route is pinned to bit for bit (tests and bench baselines set it);
+	// serving code leaves it false, which picks the fixed route table in
+	// coarseArgmax2D, coarseArgmax2DAngles and coarseArgmax3D.
+	Dense bool
 }
 
 func (o SearchOptions) coarseStep() float64 {
@@ -185,23 +134,22 @@ func FindPeak2DAnglesEval(ev *Evaluator, angles []float64, opts SearchOptions) (
 }
 
 // coarseArgmax2DAngles is coarseArgmax2D over an arbitrary angle grid: the
-// NUFFT route (default on) folds the harmonic coefficients once and
-// synthesizes every cell through the oversampled-grid spreader — KindQ on
-// magnitudes, KindR replaying the robust weighting over the spread phasor
-// sums — then shortlists and exact-rescores, so the returned index matches
-// the dense scan bit for bit. ToggleOff (or a fold too large to be coarse,
-// which cannot happen for the ≤64-term coarse subset) scans densely.
+// NUFFT route folds the harmonic coefficients once and synthesizes every
+// cell through the oversampled-grid spreader — KindQ on magnitudes, KindR
+// replaying the robust weighting over the spread phasor sums — then
+// shortlists and exact-rescores, so the returned index matches the dense
+// scan bit for bit. opts.Dense scans densely.
 func (e *Evaluator) coarseArgmax2DAngles(terms termSlices, angles []float64, opts SearchOptions) int {
-	if opts.NUFFT.enabled(true) {
-		if e.kind == KindR {
-			searchCounters.nufftR2D.Add(1)
-			return e.nufftArgmaxR(terms, angles)
-		}
-		searchCounters.nufft2D.Add(1)
-		return e.nufftArgmaxQ(terms, angles)
+	switch {
+	case opts.Dense:
+		searchCounters.denseNU2D.Add(1)
+		return e.denseArgmax2DAngles(terms, angles)
+	case e.kind == KindR:
+		searchCounters.nufftR2D.Add(1)
+		return e.nufftArgmaxR(terms, angles)
 	}
-	searchCounters.denseNU2D.Add(1)
-	return e.denseArgmax2DAngles(terms, angles)
+	searchCounters.nufft2D.Add(1)
+	return e.nufftArgmaxQ(terms, angles)
 }
 
 // denseArgmax2DAngles is the full parallel scan over an arbitrary angle
@@ -249,27 +197,21 @@ func (e *Evaluator) rescoreAngles(terms termSlices, idxs []int, angles []float64
 }
 
 // coarseArgmax2D returns the argmax index over the uniform grid
-// φ_i = i·step, i < n, scored on the given term subset. Both kinds now
-// default to a harmonic route: KindQ through the magnitude synthesis, KindR
-// through the two-pass all-cells transform (allcells.go) — each returning
-// exactly the dense scan's cell via the shortlist-and-rescore guarantee.
-// A KindR search with Hierarchical: On takes the lattice scanner instead.
+// φ_i = i·step, i < n, scored on the given term subset. KindQ takes the
+// magnitude synthesis, KindR the two-pass all-cells transform (allcells.go)
+// — each returning exactly the dense scan's cell via the
+// shortlist-and-rescore guarantee. opts.Dense scans densely.
 func (e *Evaluator) coarseArgmax2D(terms termSlices, n int, step float64, opts SearchOptions) int {
-	autoOn := e.kind != KindR
-	if autoOn && opts.HarmonicEval.enabled(true) {
-		searchCounters.harmonicQ2D.Add(1)
-		return e.harmonicArgmax2D(terms, n, step)
-	}
-	if opts.Hierarchical.enabled(autoOn) {
-		searchCounters.hier2D.Add(1)
-		return e.hierarchicalArgmax2D(terms, n, step, opts)
-	}
-	if e.kind == KindR && opts.HarmonicEval.enabled(true) {
+	switch {
+	case opts.Dense:
+		searchCounters.dense2D.Add(1)
+		return e.denseArgmax2D(terms, n, step)
+	case e.kind == KindR:
 		searchCounters.harmonicR2D.Add(1)
 		return e.harmonicArgmaxR2D(terms, n, step)
 	}
-	searchCounters.dense2D.Add(1)
-	return e.denseArgmax2D(terms, n, step)
+	searchCounters.harmonicQ2D.Add(1)
+	return e.harmonicArgmax2D(terms, n, step)
 }
 
 // denseArgmax2D is the full parallel scan over the uniform azimuth grid.
@@ -363,14 +305,14 @@ func FindPeak3DEval(ev *Evaluator, opts SearchOptions) Peak3D {
 }
 
 // coarseArgmax3D is coarseArgmax2D over the az × polar grid (row-major,
-// cell k = (k/nAz)-th polar row, (k%nAz)-th azimuth). KindQ searches
-// default to the hierarchical scanner (the harmonic route would refold
-// Bessel tables per polar row, which costs more than it saves); KindR
-// scans densely unless Hierarchical: On.
+// cell k = (k/nAz)-th polar row, (k%nAz)-th azimuth). KindQ searches take
+// the hierarchical scanner (the harmonic route would refold Bessel tables
+// per polar row, which costs more than it saves); KindR and opts.Dense scan
+// densely.
 func (e *Evaluator) coarseArgmax3D(terms termSlices, nAz, nPol int, azStep, polStep float64, opts SearchOptions) int {
-	if opts.Hierarchical.enabled(e.kind != KindR) {
+	if !opts.Dense && e.kind != KindR {
 		searchCounters.hier3D.Add(1)
-		return e.hierarchicalArgmax3D(terms, nAz, nPol, azStep, polStep, opts)
+		return e.hierarchicalArgmax(terms, nAz, nPol, azStep, polStep)
 	}
 	searchCounters.dense3D.Add(1)
 	return e.denseArgmax3D(terms, nAz, nPol, azStep, polStep)
@@ -418,59 +360,19 @@ func (e *Evaluator) refine3D(best Peak3D, azStep, polStep float64, opts SearchOp
 	return best
 }
 
-// rescoreTopK evaluates the exact per-cell formula at the given grid cells
-// (indices ascending) and returns the winner.
-func (e *Evaluator) rescoreTopK(terms termSlices, idxs []int, step float64, azCount int, polBase, polStep float64) int {
+// rescoreTopK evaluates the exact per-cell formula at the given cells of
+// the uniform azimuth grid φ_k = k·step (indices ascending) and returns the
+// winner.
+func (e *Evaluator) rescoreTopK(terms termSlices, idxs []int, step float64) int {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	bestIdx, bestVal := idxs[0], math.Inf(-1)
 	for _, k := range idxs { // ascending index → lowest-index tie rule
-		phi := float64(k) * step
-		var gamma float64
-		if azCount > 0 {
-			phi = float64(k%azCount) * step
-			gamma = polBase + float64(k/azCount)*polStep
-		}
-		if v := e.evalTerms(terms, sc, phi, gamma); v > bestVal {
+		if v := e.evalTerms(terms, sc, float64(k)*step, 0); v > bestVal {
 			bestIdx, bestVal = k, v
 		}
 	}
 	return bestIdx
-}
-
-// topKIndices returns the indices of the k largest values, in ascending
-// index order. k is clamped to len(vals). Selection keeps a small
-// descending-by-value window (k is a few handfuls), so the pass over n
-// values is effectively linear.
-func topKIndices(vals []float64, k int) []int {
-	if k > len(vals) {
-		k = len(vals)
-	}
-	type iv struct {
-		idx int
-		val float64
-	}
-	top := make([]iv, 0, k)
-	for i, v := range vals {
-		if len(top) == k && v <= top[k-1].val {
-			continue
-		}
-		pos := len(top)
-		for pos > 0 && v > top[pos-1].val {
-			pos--
-		}
-		if len(top) < k {
-			top = append(top, iv{})
-		}
-		copy(top[pos+1:], top[pos:len(top)-1])
-		top[pos] = iv{i, v}
-	}
-	idxs := make([]int, len(top))
-	for i, t := range top {
-		idxs[i] = t.idx
-	}
-	sort.Ints(idxs)
-	return idxs
 }
 
 // clampPolar keeps a polar candidate inside [-π/2, π/2].

@@ -112,8 +112,19 @@ type Profile3D struct {
 	Power [][]float64
 }
 
+// MaxFrequencyHz is the largest snapshot carrier frequency makeTerm
+// accepts. UHF RFID readers hop over 860–960 MHz, and the 2.45 GHz
+// microwave band is the highest any RFID air interface uses, so 3 GHz is
+// above every real carrier. The bound exists because the harmonic
+// synthesis sizes its buffers from the aperture scale 4πr/λ: at
+// spindisk.MaxRadius and 3 GHz that scale is ≈1260, so a snapshot can ask
+// for at most ≈1280 Bessel harmonics, where an unchecked 1e30 Hz would
+// overflow the harmonic count.
+const MaxFrequencyHz = 3e9
+
 // errNoFrequency reports a snapshot without a carrier frequency; prepare
-// and Accumulator.Add wrap it with their own position context.
+// and Accumulator.Add wrap it (and makeTerm's other snapshot errors) with
+// their own position context.
 var errNoFrequency = errors.New("has no carrier frequency")
 
 // snapshotTerm caches the per-snapshot quantities every candidate angle
@@ -131,8 +142,13 @@ type snapshotTerm struct {
 // Accumulator build terms through this single function, so the two paths'
 // per-snapshot arithmetic cannot drift.
 func makeTerm(s, ref phase.Snapshot, p Params) (snapshotTerm, error) {
-	if s.FrequencyHz <= 0 {
+	switch {
+	case s.FrequencyHz <= 0:
 		return snapshotTerm{}, errNoFrequency
+	case !(s.FrequencyHz <= MaxFrequencyHz): // also NaN and +Inf
+		return snapshotTerm{}, fmt.Errorf("has carrier frequency %v Hz outside (0, %v]", s.FrequencyHz, MaxFrequencyHz)
+	case math.IsNaN(s.Phase) || math.IsInf(s.Phase, 0):
+		return snapshotTerm{}, fmt.Errorf("has non-finite phase %v", s.Phase)
 	}
 	sinA, cosA := math.Sincos(p.Disk.Angle(s.Time))
 	return snapshotTerm{

@@ -377,8 +377,9 @@ func TestPeakTracksReaderRotation(t *testing.T) {
 }
 
 // TestAbsurdRadiusRejected pins that spectrum entry points refuse disk
-// geometry the engine cannot size buffers for — a radius of 1e15 m used to
-// validate and then crash the harmonic coarse scan — and a non-finite σ.
+// geometry and snapshot carriers the engine cannot size buffers for — a
+// radius of 1e15 m or a 1e30 Hz snapshot used to be accepted and then
+// crash the harmonic coarse scan — plus a non-finite σ or phase.
 func TestAbsurdRadiusRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	good := testParams()
@@ -404,6 +405,35 @@ func TestAbsurdRadiusRejected(t *testing.T) {
 		p.Sigma = sigma
 		if err := p.Validate(); err == nil {
 			t.Errorf("sigma %v: Validate accepted", sigma)
+		}
+	}
+	// A snapshot frequency sizes the harmonic buffers the same way the
+	// radius does: each of these used to pass makeTerm and panic the next
+	// FindPeak2DEval. A non-finite phase is refused alongside.
+	for name, mutate := range map[string]func(*phase.Snapshot){
+		"frequency NaN":  func(s *phase.Snapshot) { s.FrequencyHz = math.NaN() },
+		"frequency +Inf": func(s *phase.Snapshot) { s.FrequencyHz = math.Inf(1) },
+		"frequency 1e30": func(s *phase.Snapshot) { s.FrequencyHz = 1e30 },
+		"phase NaN":      func(s *phase.Snapshot) { s.Phase = math.NaN() },
+		"phase -Inf":     func(s *phase.Snapshot) { s.Phase = math.Inf(-1) },
+	} {
+		bad := append([]phase.Snapshot(nil), snaps...)
+		mutate(&bad[len(bad)/2])
+		if _, err := NewEvaluator(bad, good, KindQ); err == nil {
+			t.Errorf("%s: NewEvaluator accepted", name)
+		}
+		a, err := NewAccumulator2D(good, KindQ, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addErr error
+		for _, s := range bad {
+			if addErr = a.Add(s); addErr != nil {
+				break
+			}
+		}
+		if addErr == nil {
+			t.Errorf("%s: Accumulator.Add accepted", name)
 		}
 	}
 }
